@@ -1,11 +1,11 @@
 """Trajectory-clustered model reduction.
 
 Snapshots of the full model are clustered per node trajectory with
-agglomerative average linkage (Lance-Williams updates, deterministic
-lexicographic tie-breaking), and the resulting partition defines an
-orthonormal projection U whose columns carry weight 1/sqrt(cluster size).
-The reduced dynamics are Petrov-Galerkin: lift with U, advance the full
-model, project back with U^T.
+agglomerative average linkage (scipy's NN-chain algorithm, cut strictly
+below th_c, ids in first-member order), and the resulting partition
+defines an orthonormal projection U whose columns carry weight
+1/sqrt(cluster size). The reduced dynamics are Petrov-Galerkin: lift with
+U, advance the full model, project back with U^T.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, NonFiniteState, ValidationError
 from .richards import FullModel
 
 
@@ -30,6 +30,8 @@ class SnapshotMatrix:
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
         if self.data.ndim != 2:
             raise DimensionMismatch("snapshot matrix must be 2-D (time x nodes)")
+        if not np.all(np.isfinite(self.data)):
+            raise NonFiniteState("snapshot matrix contains NaN or infinity")
 
     @property
     def n_nodes(self) -> int:
@@ -75,71 +77,51 @@ def trajectory_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _pairwise_distances(data: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of column-trajectory distances.
-
-    Computed from explicit column differences (not the Gram identity) so
-    near-identical trajectories keep full precision; the upper triangle is
-    mirrored so ties resolve identically on both sides.
-    """
-    n = data.shape[1]
-    dist = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = data[:, i + 1:] - data[:, i:i + 1]
-        dist[i, i + 1:] = np.sqrt(np.einsum("tj,tj->j", diff, diff))
-    return dist + dist.T
-
-
 def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float, record_merges: bool = False) -> Clustering:
     """Agglomerative average-linkage clustering of node trajectories.
 
     Starts from singletons and merges the pair at minimum average-linkage
-    distance while that minimum is below th_c. Ties break on the smallest
-    (i, j) position pair; positions stay ordered by each cluster's first
-    member node, which also fixes the final id order.
+    distance while that minimum is below th_c, by scipy's NN-chain linkage
+    on the condensed Euclidean distances. Cluster ids follow each cluster's
+    first member node.
+
+    Exact distance ties resolve in NN-chain order: every cluster holds a
+    slot, first its node index, and a merged pair keeps the larger slot.
+    The chain starts at the lowest live slot, steps to the lowest-slot
+    nearest neighbour (staying with the previous chain element on a tie)
+    and merges the first mutual nearest pair it reaches. Each logged merge
+    is (smallest member of the absorbing cluster, smallest member of the
+    absorbed one, distance); the absorbing cluster holds the smaller node.
     """
+    # imported here: scipy.cluster/scipy.spatial add ~0.2 s and ~16 MB to `import pivotflow`
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
     if not th_c > 0:
         raise ValidationError("th_c must be > 0")
     n = snapshots.n_nodes
-    dist = _pairwise_distances(snapshots.data)
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n)
-    members = [[i] for i in range(n)]
+    if n < 2:
+        return Clustering.singletons(n)
+    try:
+        tree = linkage(pdist(snapshots.data.T), method="average")
+    except ValueError as exc:  # linkage rejects distances that overflowed to inf
+        raise NonFiniteState("trajectory distances overflow to infinity") from exc
+    labels = fcluster(tree, np.nextafter(th_c, -np.inf), criterion="distance")
+    # renumber fcluster's labels in the order of each cluster's first member node
+    _, first = np.unique(labels, return_index=True)
+    ids = np.empty(labels.max() + 1, dtype=int)
+    ids[labels[np.sort(first)]] = np.arange(first.size)
+
     merges = []
-
-    work = dist.copy()
-    inf = np.inf
-    work[np.tril_indices(n)] = inf  # search the strict upper triangle only
-
-    while active.sum() > 1:
-        flat = np.argmin(work)
-        i, j = divmod(int(flat), n)
-        d_min = work[i, j]
-        if not d_min < th_c:
-            break
-        if record_merges:
-            merges.append((i, j, float(d_min)))
-        # Lance-Williams average-linkage update of row/column i
-        others = np.flatnonzero(active)
-        others = others[(others != i) & (others != j)]
-        if others.size:
-            d_ik = np.where(others > i, work[i, others], work[others, i])
-            d_jk = np.where(others > j, work[j, others], work[others, j])
-            merged = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
-            lo = np.minimum(others, i)
-            hi = np.maximum(others, i)
-            work[lo, hi] = merged
-        sizes[i] += sizes[j]
-        members[i].extend(members[j])
-        active[j] = False
-        work[j, :] = inf
-        work[:, j] = inf
-
-    assignment = np.empty(n, dtype=int)
-    order = np.flatnonzero(active)  # ascending == order of first member node
-    for cid, pos in enumerate(order):
-        assignment[members[pos]] = cid
-    return Clustering(assignment, order.size, tuple(merges))
+    if record_merges:
+        smallest = list(range(n))  # smallest member node of each linkage cluster id
+        for a, b, dist, _ in tree:
+            if not dist < th_c:
+                break
+            i, j = sorted((smallest[int(a)], smallest[int(b)]))
+            smallest.append(i)
+            merges.append((i, j, float(dist)))
+    return Clustering(ids[labels], first.size, tuple(merges))
 
 
 def format_merge_log(clustering: Clustering) -> str:

@@ -1,5 +1,10 @@
 """Snapshot, clustering, and projection tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from pivotflow import (
     Clustering,
     DimensionMismatch,
     FullModel,
+    NonFiniteState,
     ReducedModel,
     SnapshotMatrix,
     StepForcing,
@@ -25,7 +31,12 @@ from conftest import hydrostatic_state
 
 
 def reference_average_linkage(data, th_c):
-    """Exhaustive O(N^3) agglomerative average linkage, same tie-breaking."""
+    """Exhaustive O(N^3) agglomerative average linkage.
+
+    Exact ties break on the smallest (i, j) position pair. cluster_trajectories
+    breaks them in NN-chain order instead (see its docstring), so the two agree
+    on tie-free data such as random normal fixtures, not on every tied input.
+    """
     n = data.shape[1]
     base = np.zeros((n, n))
     for i in range(n):
@@ -86,6 +97,16 @@ class TestSnapshots:
     def test_empty_window_rejected(self, small_model):
         with pytest.raises(ValidationError):
             generate_snapshots(small_model, np.full(small_model.n_states, -5.0), [], 600.0)
+
+    def test_non_finite_snapshots_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            data = np.zeros((3, 4))
+            data[1, 2] = bad
+            with pytest.raises(NonFiniteState):
+                SnapshotMatrix(data)
+        # finite trajectories whose distance overflows
+        with pytest.raises(NonFiniteState):
+            cluster_trajectories(SnapshotMatrix([[1e200, -1e200]]), 1.0)
 
 
 class TestTrajectoryDistance:
@@ -150,15 +171,24 @@ class TestClustering:
     def test_partition_invariants_after_every_merge(self):
         rng = np.random.default_rng(9)
         data = rng.normal(size=(5, 20))
-        c = cluster_trajectories(SnapshotMatrix(data), 5.0, record_merges=True)
-        # replay the merge sequence, checking the partition stays a partition
-        members = {i: {i} for i in range(20)}
-        for i, j, dist in c.merges:
-            assert dist >= 0
-            assert members[i].isdisjoint(members[j])
-            members[i] |= members.pop(j)
-        covered = set().union(*members.values())
-        assert covered == set(range(20))
+        for th_c in (5.0, 2.5):  # one cluster; six clusters
+            c = cluster_trajectories(SnapshotMatrix(data), th_c, record_merges=True)
+            # replay the merge sequence, checking the partition stays a partition
+            members = {i: {i} for i in range(20)}
+            for i, j, dist in c.merges:
+                assert 0 <= dist < th_c
+                assert i < j and i == min(members[i]) and j == min(members[j])
+                assert members[i].isdisjoint(members[j])
+                members[i] |= members.pop(j)
+            covered = set().union(*members.values())
+            assert covered == set(range(20))
+            dists = [dist for _, _, dist in c.merges]
+            assert dists == sorted(dists)
+            replayed = np.empty(20, dtype=int)
+            for cid, first in enumerate(sorted(members)):
+                replayed[list(members[first])] = cid
+            assert np.array_equal(replayed, c.assignment)
+            assert len(members) == c.n_clusters
 
     def test_merge_log_format(self):
         rng = np.random.default_rng(8)
@@ -185,6 +215,42 @@ class TestClustering:
         c = cluster_trajectories(SnapshotMatrix(data), 1.0)
         # node 0's cluster gets id 0, node 1's id 1, node 4 alone gets 2
         assert np.array_equal(c.assignment, [0, 1, 0, 1, 2])
+        # one node, and a pair 1.0 apart, which merges only strictly below th_c
+        for data, th_c, expected in (
+            ([[3.0]], 1.0, [0]),
+            ([[0.0, 1.0]], 0.5, [0, 1]),
+            ([[0.0, 1.0]], 1.0, [0, 1]),
+            ([[0.0, 1.0]], np.nextafter(1.0, 2.0), [0, 0]),
+            ([[0.0, 1.0]], 2.0, [0, 0]),
+        ):
+            c = cluster_trajectories(SnapshotMatrix(data), th_c, record_merges=True)
+            assert np.array_equal(c.assignment, expected)
+            assert c.n_clusters == max(expected) + 1
+            assert c.merges == (((0, 1, 1.0),) if c.n_clusters == 1 and len(expected) == 2 else ())
+
+    def test_exact_ties_follow_nn_chain_order(self):
+        # After nodes 0 and 3 merge at 0, node 1 is 1.0 from both {0, 3} and
+        # {2}. The smallest-position-pair rule of the reference merges 1 into
+        # {0, 3}; NN-chain grows from slot 1 and takes its lowest-slot nearest
+        # neighbour, node 2. Both partitions are valid average linkages.
+        data = np.array([[0.0, 1.0, 2.0, 0.0]])
+        c = cluster_trajectories(SnapshotMatrix(data), 1.01, record_merges=True)
+        assert np.array_equal(c.assignment, [0, 1, 1, 0])
+        assert c.merges == ((0, 3, 0.0), (1, 2, 1.0))
+        assert np.array_equal(reference_average_linkage(data, 1.01)[0], [0, 0, 1, 0])
+
+
+def test_import_leaves_scipy_cluster_unloaded():
+    # scipy.cluster and scipy.spatial are imported by the first clustering
+    # call, not by `import pivotflow`, which they would slow by about 0.2 s
+    import pivotflow
+
+    src = str(Path(pivotflow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import pivotflow, sys; "
+            "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestProjection:

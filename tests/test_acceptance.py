@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The shift-scenario runs (criteria 5 and 6) are shared through a
 session fixture and take most of the suite's time: on a 2-core machine
-criterion 5 took about 175 s of its 600 s and criterion 6 380-520 s of
-its 1200 s, and the whole file up to about 9.5 minutes.
+criterion 5 took 98-107 s of its 600 s and criterion 6 264-314 s of its
+1200 s, and the whole tier-1 suite 5.5-6.5 minutes.
 """
 
 import time

@@ -331,6 +331,40 @@ class TestErrorMetric:
         want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
         assert compute_error_metric(model, u, x0, inputs, 900.0) == want
 
+    def test_batched_windows_equal_single_windows(self, loam, monkeypatch):
+        # Windows at ticks 0, 2 and 3 overlap; the one at 9 starts after the
+        # others have ended, so ticks 7-8 have no live window and make no call.
+        from pivotflow import CylindricalGrid, RootUptake
+
+        grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
+        rng = np.random.default_rng(5)
+        u = build_projection(Clustering(np.arange(grid.n_nodes) % 9, 9))
+        offsets, horizon = [0, 2, 3, 9], 4
+        starts = rng.uniform(-12.0, -3.0, (len(offsets), grid.n_nodes))
+        inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (t % 3)), t), StepForcing(et=2e-8, k_c=0.5, rain=1e-9 * t))
+                  for t in range(offsets[-1] + horizon)]
+        singles = [compute_error_metric(model, u, x0, inputs[o:o + horizon], 900.0)
+                   for o, x0 in zip(offsets, starts)]
+
+        calls = []
+        step = FullModel.step
+        monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
+        gaps = compute_error_metric(model, u, starts, inputs, 900.0, offsets=offsets)
+        assert gaps.tolist() == singles
+        assert calls == [2, 2, 4, 6, 4, 4, 2, 2, 2, 2, 2]  # full and lifted row per live window
+
+    def test_batched_offsets_checked(self, small_model):
+        u = build_projection(Clustering.singletons(small_model.n_states))
+        starts = np.full((2, small_model.n_states), -5.0)
+        window = [(SurfaceInput(np.zeros(small_model.grid.n_r), 0), StepForcing())] * 3
+        with pytest.raises(DimensionMismatch):
+            compute_error_metric(small_model, u, starts, window, 900.0, offsets=[1, 0])
+        with pytest.raises(DimensionMismatch):
+            compute_error_metric(small_model, u, starts, window, 900.0, offsets=[0])
+        with pytest.raises(ValidationError):
+            compute_error_metric(small_model, u, starts, window, 900.0, offsets=[0, 3])
+
     def test_empty_window_rejected(self, small_model):
         u = build_projection(Clustering.singletons(small_model.n_states))
         with pytest.raises(ValidationError):

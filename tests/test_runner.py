@@ -1,11 +1,15 @@
 """Truth twin, scheme orchestration, %MAE, and export tests."""
 
+import time
+
 import numpy as np
 import pytest
 
 from pivotflow import (
     DegenerateReference,
     DimensionMismatch,
+    FullModel,
+    PivotflowError,
     RunArtifacts,
     export_artifacts,
     export_comparison,
@@ -13,6 +17,7 @@ from pivotflow import (
     run_scheme,
     run_truth,
 )
+import pivotflow.ekf as ekf
 from pivotflow.ekf import run_adaptive_estimation
 from pivotflow.scenario import config_from_dict
 from pivotflow.grid import CylindricalGrid
@@ -243,3 +248,78 @@ class TestEndToEndDeterminism:
             export_artifacts(art, tmp_path / sub)
         for name in ("metrics.csv", "model_changes.csv", "state_snapshot_0.csv"):
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+
+class TestLookahead:
+    """Blocks of look-ahead steps must reproduce a one-step-at-a-time run."""
+
+    ARRAYS = ("estimates", "e_l", "edot_l", "orders", "model_index", "trigger", "percent_mae")
+
+    @staticmethod
+    def _estimate(monkeypatch, lookahead, cfg, measurements, **kwargs):
+        monkeypatch.setattr(ekf, "_LOOKAHEAD", lookahead)
+        return run_adaptive_estimation(cfg, measurements, **kwargs)
+
+    @pytest.mark.parametrize("over", [
+        dict(scheme="performance"),
+        dict(scheme="static"),
+        dict(scheme="time-triggered"),
+        dict(scheme="time-triggered", trigger_period=5),
+        dict(scheme="performance", stride=2, th_e=0.1, slope_limit=0.02),
+        dict(scheme="static", stride=3),
+        dict(scheme="performance", th_e=0.14, slope_limit=0.02),
+        dict(scheme="performance", th_e=0.1, slope_limit=0.02),
+    ])
+    def test_blocks_equal_single_steps(self, over, monkeypatch):
+        cfg = config_from_dict(dict(TINY, steps=24, **over))
+        truth = run_truth(cfg)
+        rows = []
+        step = FullModel.step
+
+        def counted(model, x, *args, **kwargs):
+            rows[-1] += 1 if np.ndim(x) == 1 else len(x)
+            return step(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(FullModel, "step", counted)
+        runs = []
+        for lookahead in (1, ekf._LOOKAHEAD):
+            rows.append(0)
+            runs.append(self._estimate(monkeypatch, lookahead, cfg, truth.measurements, truth=truth.states))
+        for name in self.ARRAYS:
+            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
+        assert runs[1].model_changes == runs[0].model_changes
+        if "slope_limit" in over:
+            # a performance re-identification fires inside a block, so the walk must cut it
+            assert any(k % ekf._LOOKAHEAD for k, _, _ in runs[0].model_changes[1:])
+            assert rows[1] > rows[0]
+        else:
+            assert rows[1] == rows[0]  # scheduled triggers end a block, so nothing is discarded
+
+    @pytest.mark.parametrize("stride, failing", [(1, 5), (2, 6)])
+    def test_error_names_the_same_step(self, stride, failing, monkeypatch):
+        # A NaN measurement at step 5 makes its e_L window (stride 1) or the
+        # next prediction (stride 2) fail, and every look-ahead step after it.
+        cfg = config_from_dict(dict(TINY, steps=16, stride=stride))
+        measurements = run_truth(cfg).measurements.copy()
+        measurements[5, 1] = np.nan
+        errors = []
+        for lookahead in (1, ekf._LOOKAHEAD):
+            with pytest.raises(PivotflowError) as caught:
+                self._estimate(monkeypatch, lookahead, cfg, measurements)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith(f"step {failing}: ")
+
+    def test_iter_seconds_add_up_to_loop_wall_time(self, monkeypatch):
+        readings = []
+
+        def clock():
+            readings.append(time.perf_counter())
+            return readings[-1]
+
+        monkeypatch.setattr(ekf, "perf_counter", clock)
+        cfg = config_from_dict(dict(TINY, steps=24, th_e=0.14, slope_limit=0.02))
+        trace = run_adaptive_estimation(cfg, run_truth(cfg).measurements)
+        assert [c[0] for c in trace.model_changes] == [0, 12]  # look-ahead past step 12 is discarded
+        assert np.all(trace.iter_seconds >= 0)
+        assert trace.iter_seconds.sum() == pytest.approx(readings[-1] - readings[0], rel=1e-9)

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .errors import (
     DimensionMismatch,
     JacobianFailure,
+    NonFiniteState,
     PivotflowError,
     SingularInnovation,
     ValidationError,
@@ -132,22 +133,24 @@ def initialize_filter(projection: sp.csr_matrix, x0_full, noise: NoiseConfig,
     )
 
 
-def _fd_jacobian(transition, xi: np.ndarray, f0: np.ndarray, batched: bool = False) -> np.ndarray:
-    """Forward-difference Jacobian of the reduced transition map at xi.
+def _fd_jacobian(transition, xi: np.ndarray, batched: bool = False):
+    """The transition at xi and its forward-difference Jacobian there.
 
-    With ``batched`` the transition takes all perturbed states as the rows of
-    one (n, n) array; each column comes out as with one call per coordinate.
+    With ``batched`` the transition takes xi and every perturbed state as the
+    n + 1 rows of one array; each row comes out as with one call per state.
     """
     n = xi.size
     deltas = np.maximum(1e-6, 1e-6 * np.abs(xi))
     if batched:
-        perturbed = np.repeat(xi[None, :], n, axis=0)
-        perturbed[np.arange(n), np.arange(n)] += deltas
-        f = transition(perturbed)
-        bad = ~np.all(np.isfinite(f), axis=1)
+        rows = np.repeat(xi[None, :], n + 1, axis=0)
+        rows[np.arange(1, n + 1), np.arange(n)] += deltas
+        f = transition(rows)
+        f0 = f[0]
+        bad = ~np.all(np.isfinite(f[1:]), axis=1)
         if bad.any():
             raise JacobianFailure(f"non-finite transition for perturbed coordinate {int(np.argmax(bad))}")
-        return np.ascontiguousarray(((f - f0) / deltas[:, None]).T)
+        return f0, np.ascontiguousarray(((f[1:] - f0) / deltas[:, None]).T)
+    f0 = transition(xi)
     jac = np.empty((f0.size, n))
     for i in range(n):
         perturbed = xi.copy()
@@ -156,18 +159,17 @@ def _fd_jacobian(transition, xi: np.ndarray, f0: np.ndarray, batched: bool = Fal
         if not np.all(np.isfinite(f_i)):
             raise JacobianFailure(f"non-finite transition for perturbed coordinate {i}")
         jac[:, i] = (f_i - f0) / deltas[i]
-    return jac
+    return f0, jac
 
 
 def ekf_predict(state: ReducedEkfState, model, surface, forcing, dt: float) -> ReducedEkfState:
     """Propagate estimate and covariance one sampling interval (zero disturbance).
 
-    A ``ReducedModel`` steps all Jacobian columns as one batch; other models
-    are called once per column.
+    A ``ReducedModel`` steps the estimate and all Jacobian columns as one
+    batch; other models are called once per state.
     """
     transition = lambda xi: model.step(xi, surface, forcing, dt)
-    xi_pred = transition(state.xi)
-    a_d = _fd_jacobian(transition, state.xi, xi_pred, batched=isinstance(model, ReducedModel))
+    xi_pred, a_d = _fd_jacobian(transition, state.xi, batched=isinstance(model, ReducedModel))
     cov = a_d @ state.cov @ a_d.T + state.q_r
     cov = 0.5 * (cov + cov.T)
     return replace(state, xi=xi_pred, cov=cov)
@@ -179,6 +181,8 @@ def ekf_update(state: ReducedEkfState, y, r_cov: np.ndarray) -> ReducedEkfState:
     c = state.c_r
     if y.shape != (c.shape[0],):
         raise DimensionMismatch(f"measurement has shape {y.shape}, expected ({c.shape[0]},)")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteState("measurement contains non-finite entries")
     innovation_cov = r_cov + c @ state.cov @ c.T
     try:
         np.linalg.cholesky(innovation_cov)

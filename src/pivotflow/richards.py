@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import CylindricalGrid
-from .soil import SoilField, capillary_capacity, hydraulic_conductivity, suction_powers
+from .soil import SoilField, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
 
@@ -103,24 +103,31 @@ class WaterBudget:
     extraction: float = 0.0
 
 
-def stress_factor(h, roots: RootUptake):
+def stress_factor(h, roots: RootUptake, out=None):
     """Feddes-type uptake reduction beta(h) in [0, 1].
 
     Linear from 0 at h_anaerobic up to 1 at h_field_capacity, then down to 0
-    at h_wilting; each ramp, extended past its end, falls below 0 and is cut
-    there (fmax also maps a NaN head to 0).
+    at h_wilting. The wet ramp is at most 1 where h >= h_field_capacity and
+    the dry ramp where h <= h_field_capacity, so beta is the smaller ramp,
+    cut at 0 (fmax also maps a NaN head to 0).
     """
     h = np.asarray(h, dtype=float)
     ha, hfc, hw = roots.h_anaerobic, roots.h_field_capacity, roots.h_wilting
-    beta = np.where(h > hfc, (ha - h) / (ha - hfc), (h - hw) / (hfc - hw))
-    return np.fmin(np.fmax(beta, 0.0), 1.0)
+    beta = np.subtract(ha, h, out=np.empty(h.shape) if out is None else out)
+    beta /= ha - hfc
+    dry = np.subtract(h, hw)
+    dry /= hfc - hw
+    np.minimum(beta, dry, out=beta)
+    return np.fmax(beta, 0.0, out=beta)
 
 
 @lru_cache(maxsize=16)
-def root_fraction(grid: CylindricalGrid, root_depth: float) -> np.ndarray:
-    """Fraction of each layer inside the root zone (length n_z, bottom-up).
+def root_weight(grid: CylindricalGrid, root_depth: float) -> np.ndarray:
+    """Root-zone fraction of each node's layer over root_depth [1/m], flat-index order.
 
-    Cached per (grid, root_depth), so every sub-step shares one read-only array.
+    Uniform root density down to root_depth, with partial layers weighted by
+    their overlap. Cached per (grid, root_depth), so every sub-step shares
+    one read-only array.
     """
     if root_depth > grid.depth + 1e-12:
         raise ValidationError("root_depth exceeds grid depth")
@@ -128,49 +135,52 @@ def root_fraction(grid: CylindricalGrid, root_depth: float) -> np.ndarray:
     z_hi = z_lo + grid.dz
     overlap = np.minimum(z_hi, grid.depth) - np.maximum(z_lo, grid.depth - root_depth)
     frac = np.clip(overlap, 0.0, None) / grid.dz
-    frac.flags.writeable = False
-    return frac
+    weight = np.tile(frac / root_depth, grid.n_r * grid.n_theta)
+    weight.flags.writeable = False
+    return weight
 
 
 @lru_cache(maxsize=16)
 def _stencil(grid: CylindricalGrid):
-    """Geometry factors of the flux-form stencil, shaped to broadcast on (n_r, n_theta * n_z).
+    """Stencil factors with 1/2, 1/dr, 1/(r dr) and 1/(r dtheta)^2 folded in.
 
-    Returns (face radii r_{i+1/2}, r_i * dr, (r_i * dtheta)^2). Cached per
+    Returns (radial_lo, radial_hi, azimuthal) on the ring view (n_r, n_theta *
+    n_z); the radial arrays cover rings 0..n_r-2. With F = (K_a + K_b)(h_b -
+    h_a) the unscaled flux through a face, a radial face between rings i and
+    i+1 adds F * radial_lo[i] = F r_{i+1/2} / (2 r_i dr^2) to ring i and takes
+    F * radial_hi[i] = F r_{i+1/2} / (2 r_{i+1} dr^2) from ring i+1; an
+    azimuthal face in ring i weighs F by 1 / (2 (r_i dtheta)^2). Cached per
     grid; the arrays are read-only because every sub-step shares them.
     """
+    width = grid.n_theta * grid.n_z
+    face_r = np.arange(1, grid.n_r) * grid.dr
+    r = grid.r_centers
     parts = (
-        (np.arange(1, grid.n_r) * grid.dr)[:, None],
-        grid.r_centers[:, None] * grid.dr,
-        (grid.r_centers[:, None] * grid.dtheta) ** 2,
+        np.repeat(0.5 * face_r / (r[:-1] * grid.dr**2), width).reshape(grid.n_r - 1, width),
+        np.repeat(0.5 * face_r / (r[1:] * grid.dr**2), width).reshape(grid.n_r - 1, width),
+        np.repeat(0.5 / (r * grid.dtheta) ** 2, width).reshape(grid.n_r, width),
     )
     for a in parts:
         a.flags.writeable = False
     return parts
 
 
-def sink_term(x, grid: CylindricalGrid, forcing: StepForcing, roots: RootUptake | None):
+def sink_term(x, grid: CylindricalGrid, forcing: StepForcing, roots: RootUptake | None, out=None):
     """Root water extraction S [1/s] per node (<= 0), flat-index order.
 
     Total extraction integrates to beta-weighted K_c * ET over the field
     surface; uniform root density down to root_depth. ``x`` may also be a
-    (B, n_nodes) batch of states.
+    (B, n_nodes) batch of states; ``out``, an array of x's shape, receives S.
     """
     x = np.asarray(x, dtype=float)
-    if roots is None:
-        return np.zeros(x.shape)
+    s = np.empty(x.shape) if out is None else out
     demand = forcing.k_c * forcing.et
-    if demand == 0.0:
-        return np.zeros(x.shape)
-    h = _grid_view(x, grid)
-    frac = root_fraction(grid, roots.root_depth)
-    s = -stress_factor(h, roots) * demand * frac[None, None, :] / roots.root_depth
-    return s.reshape(x.shape)
-
-
-def _grid_view(x: np.ndarray, grid: CylindricalGrid) -> np.ndarray:
-    """View a state (n_nodes,) or batch (B, n_nodes) as (..., n_r, n_theta, n_z)."""
-    return x.reshape(x.shape[:-1] + (grid.n_r, grid.n_theta, grid.n_z))
+    if roots is None or demand == 0.0:
+        s.fill(0.0)
+        return s
+    stress_factor(x, roots, out=s)
+    s *= root_weight(grid, roots.root_depth) * -demand
+    return s
 
 
 def _surface_flux(surface: SurfaceInput, forcing: StepForcing, grid: CylindricalGrid) -> np.ndarray:
@@ -182,139 +192,28 @@ def _surface_flux(surface: SurfaceInput, forcing: StepForcing, grid: Cylindrical
     return q_in
 
 
-def _grid_soil(soil, grid: CylindricalGrid):
-    """Reshape flat per-node parameter arrays to the grid; pass scalars through."""
-    if isinstance(soil, SoilField) and soil.alpha.ndim == 1:
-        return SoilField(*(grid.reshape(a) for a in (soil.alpha, soil.n_vg, soil.theta_r, soil.theta_s, soil.k_s)))
-    return soil
-
-
-def _rhs_parts(h3, q_in, forcing, grid, soil3, roots, storativity, bottom_bc):
-    """dh/dt plus the boundary-flux fields needed for water accounting.
-
-    ``h3`` is (..., n_r, n_theta, n_z); leading axes index independent states.
-    """
-    n_r, n_t, n_z = grid.n_r, grid.n_theta, grid.n_z
-    face_r, r_dr, r_dtheta_sq = _stencil(grid)
-    powers = suction_powers(h3, soil3)
-    k_cond = hydraulic_conductivity(h3, soil3, powers=powers)
-    c_eff = np.maximum(capillary_capacity(h3, soil3, powers=powers), storativity)
-
-    # Ring view (..., n_r, n_theta * n_z): a theta neighbour is n_z entries
-    # away and a vertical neighbour 1 entry away in the flat order, so every
-    # difference below is taken over contiguous runs of the same elements.
-    ring = h3.shape[:-3] + (n_r, n_t * n_z)
-    h2, k2 = h3.reshape(ring), k_cond.reshape(ring)
-    div = np.zeros(h3.shape)
-    div2 = div.reshape(ring)
-
-    # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R
-    if n_r > 1:
-        k_face = 0.5 * (k2[..., 1:, :] + k2[..., :-1, :])
-        flux_r = face_r * k_face * (h2[..., 1:, :] - h2[..., :-1, :]) / grid.dr
-        div2[..., :-1, :] += flux_r / r_dr[:-1]
-        div2[..., 1:, :] -= flux_r / r_dr[1:]
-
-    # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic; flux_t block j sits
-    # at face j - 1/2, so the wrapped face appears at both ends
-    if n_t > 1:
-        flux_t = np.empty(h3.shape[:-3] + (n_r, (n_t + 1) * n_z))
-        np.multiply(0.5 * (k2[..., :-n_z] + k2[..., n_z:]), h2[..., n_z:] - h2[..., :-n_z],
-                    out=flux_t[..., n_z:-n_z])
-        flux_t[..., -n_z:] = 0.5 * (k2[..., -n_z:] + k2[..., :n_z]) * (h2[..., :n_z] - h2[..., -n_z:])
-        flux_t[..., :n_z] = flux_t[..., -n_z:]
-        div2 += (flux_t[..., n_z:] - flux_t[..., :-n_z]) / r_dtheta_sq
-
-    # vertical: d/dz [K (dh/dz + 1)], downward-positive face flux G. g_top is
-    # the flux through each cell's upper face; in flat order the lower face
-    # of a cell is the upper face of the entry before it, except in the
-    # bottom layer, where the flat neighbour belongs to another column.
-    g_top = np.empty(h3.shape)
-    top = g_top.reshape(-1)
-    if n_z > 1:
-        hf, kf = h3.reshape(-1), k_cond.reshape(-1)
-        np.multiply(0.5 * (kf[1:] + kf[:-1]), (hf[1:] - hf[:-1]) / grid.dz + 1.0, out=top[:-1])
-    g_top[..., -1] = q_in
-    # unit-gradient drainage K(h_bottom), or no flux
-    g_bottom = k_cond[..., 0] if bottom_bc == "free_drainage" else np.zeros(h3.shape[:-1])
-    g_net = np.empty(h3.shape)
-    np.subtract(top[1:], top[:-1], out=g_net.reshape(-1)[1:])
-    g_net[..., 0] = g_top[..., 0] - g_bottom
-    div += g_net / grid.dz
-
-    flat = h3.reshape(h3.shape[:-3] + (grid.n_nodes,))
-    sink3 = _grid_view(sink_term(flat, grid, forcing, roots), grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dhdt = (div + sink3) / c_eff
-    return dhdt, g_bottom, sink3
+def _node_soil(soil, grid: CylindricalGrid) -> SoilField:
+    """The soil as a SoilField of flat per-node arrays (or scalars), products computed once."""
+    fields = [np.asarray(getattr(soil, f), dtype=float)
+              for f in ("alpha", "n_vg", "theta_r", "theta_s", "k_s")]
+    return SoilField(*(a if a.ndim == 0 else a.reshape(grid.n_nodes) for a in fields))
 
 
 def rhs(x, surface: SurfaceInput, forcing: StepForcing, grid: CylindricalGrid, soil,
         roots: RootUptake | None = None, storativity: float = 1e-4,
         bottom_bc: str = "free_drainage") -> np.ndarray:
     """Time derivative dx/dt [m/s] of the pressure-head state, flat-index order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (grid.n_nodes,):
-        raise DimensionMismatch(f"state has shape {x.shape}, expected ({grid.n_nodes},)")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState("state contains non-finite entries")
-    if not np.all(np.isfinite(surface.u)):
-        raise NonFiniteState("surface input contains non-finite entries")
-    if bottom_bc not in BOTTOM_CONDITIONS:
-        raise ValidationError(f"bottom_bc must be one of {BOTTOM_CONDITIONS}")
-    dhdt, _, _ = _rhs_parts(
-        grid.reshape(x), _surface_flux(surface, forcing, grid), forcing, grid,
-        _grid_soil(soil, grid), roots, storativity, bottom_bc,
-    )
-    return grid.flatten(dhdt)
+    return FullModel(grid, soil, roots=roots, storativity=storativity,
+                     bottom_bc=bottom_bc).rhs(x, surface, forcing)
 
 
 def step(x, surface: SurfaceInput, forcing: StepForcing, grid: CylindricalGrid, soil,
          dt: float, substeps: int = 12, roots: RootUptake | None = None,
          storativity: float = 1e-4, bottom_bc: str = "free_drainage",
          budget: WaterBudget | None = None) -> np.ndarray:
-    """Advance the state by dt with explicit Euler over fixed equal sub-steps.
-
-    ``x`` may be one state (n_nodes,) or a batch (B, n_nodes) of independent
-    states that share the inputs; each row gets exactly the values a
-    single-state call would give it.
-    """
-    if not dt > 0:
-        raise ValidationError("dt must be > 0")
-    if substeps < 1:
-        raise ValidationError("substeps must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != grid.n_nodes:
-        raise DimensionMismatch(
-            f"state has shape {x.shape}, expected ({grid.n_nodes},) or (B, {grid.n_nodes})"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState("state contains non-finite entries")
-    if budget is not None and x.ndim != 1:
-        raise ValidationError("a water budget is kept for one state at a time")
-    soil3 = _grid_soil(soil, grid)
-    h3 = _grid_view(x, grid).copy()
-    q_in = _surface_flux(surface, forcing, grid)
-    sub = dt / substeps
-    if budget is not None:
-        area = grid.column_area()
-        volume = grid.cell_volumes()
-    for _ in range(substeps):
-        dhdt, g_bottom, sink3 = _rhs_parts(
-            h3, q_in, forcing, grid, soil3, roots, storativity, bottom_bc
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            h3 = h3 + sub * dhdt
-        # |h| beyond any physical suction means the explicit update diverged
-        if not np.all(np.isfinite(h3)) or np.abs(h3).max() > 1e6:
-            raise UnstableStep(
-                f"state diverged after a sub-step of {sub:g} s; increase substeps"
-            )
-        if budget is not None:
-            budget.inflow += float(np.sum(q_in * area)) * sub
-            budget.drainage += float(np.sum(g_bottom * area)) * sub
-            budget.extraction += float(np.sum(-sink3 * volume)) * sub
-    return h3.reshape(x.shape)
+    """Advance the state by dt with explicit Euler over fixed equal sub-steps (see ``FullModel.step``)."""
+    return FullModel(grid, soil, roots=roots, substeps=substeps, storativity=storativity,
+                     bottom_bc=bottom_bc).step(x, surface, forcing, dt, budget=budget)
 
 
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
@@ -331,9 +230,26 @@ def observe(x, sensor_nodes, v=None) -> np.ndarray:
     return y
 
 
+class _Workspace:
+    """Sub-step temporaries of one batch shape, allocated once per step call."""
+
+    def __init__(self, shape, grid: CylindricalGrid):
+        self.logs = tuple(np.empty(shape) for _ in range(3))
+        self.k = np.empty(shape)
+        self.c = np.empty(shape)
+        self.rate = np.empty(shape)
+        self.sink = np.empty(shape)
+        self.face = np.empty(shape)
+        self.flux_t = np.empty((shape[0], grid.n_r, (grid.n_theta + 1) * grid.n_z))
+
+
 @dataclass(frozen=True)
 class FullModel:
-    """Grid, soil, and integration settings bundled as the full-order model."""
+    """Grid, soil, and integration settings bundled as the full-order model.
+
+    The soil is held as flat per-node arrays with the closures' parameter
+    products computed once, at construction.
+    """
 
     grid: CylindricalGrid
     soil: object
@@ -341,25 +257,153 @@ class FullModel:
     substeps: int = 12
     storativity: float = 1e-4
     bottom_bc: str = "free_drainage"
-    _soil3: object = field(init=False, repr=False)
+    _params: SoilField = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.bottom_bc not in BOTTOM_CONDITIONS:
             raise ValidationError(f"bottom_bc must be one of {BOTTOM_CONDITIONS}")
-        object.__setattr__(self, "_soil3", _grid_soil(self.soil, self.grid))
+        if self.substeps < 1:
+            raise ValidationError("substeps must be >= 1")
+        object.__setattr__(self, "_params", _node_soil(self.soil, self.grid))
 
     @property
     def n_states(self) -> int:
         return self.grid.n_nodes
 
+    def _rates(self, h, q_in, forcing, work):
+        """dh/dt of a (B, n_nodes) batch into ``work.rate``, with the parts water accounting reads.
+
+        Returns (dh/dt, bottom drainage flux (B, n_r, n_theta), sink S).
+        """
+        grid = self.grid
+        n_r, n_t, n_z = grid.n_r, grid.n_theta, grid.n_z
+        rows = h.shape[0]
+        logs = suction_logs(h, self._params, out=work.logs)
+        k = hydraulic_conductivity(h, self._params, logs=logs, out=work.k)
+        c_eff = capillary_capacity(h, self._params, logs=logs, out=work.c)
+        np.maximum(c_eff, self.storativity, out=c_eff)
+        rate = work.rate
+        # the logs are spent: their arrays serve as scratch below
+        df, flux = work.logs[0].reshape(-1), work.logs[1].reshape(-1)
+
+        # vertical: d/dz [K (dh/dz + 1)]. ``top`` holds the downward-positive
+        # flux through each cell's upper face over dz, (K_a + K_b) (dh /
+        # (2 dz^2) + 1 / (2 dz)), and the inflow over dz at the surface. In
+        # flat order the lower face of a cell is the upper face of the entry
+        # before it, except in the bottom layer, where the flat neighbour
+        # belongs to another column.
+        hf, kf, top = h.reshape(-1), k.reshape(-1), work.face.reshape(-1)
+        if n_z > 1:
+            np.subtract(hf[1:], hf[:-1], out=df[:-1])
+            df[:-1] *= 0.5 / grid.dz**2
+            df[:-1] += 0.5 / grid.dz
+            np.add(kf[1:], kf[:-1], out=top[:-1])
+            top[:-1] *= df[:-1]
+        top3 = work.face.reshape(rows, n_r, n_t, n_z)
+        top3[..., -1] = q_in / grid.dz
+        np.subtract(top[1:], top[:-1], out=rate.reshape(-1)[1:])
+        k3, rate3 = k.reshape(top3.shape), rate.reshape(top3.shape)
+        # unit-gradient drainage K(h_bottom), or no flux
+        g_bottom = k3[..., 0] if self.bottom_bc == "free_drainage" else np.zeros(top3.shape[:-1])
+        np.subtract(top3[..., 0], g_bottom / grid.dz, out=rate3[..., 0])
+
+        # Ring view (B, n_r, n_theta * n_z): a theta neighbour is n_z entries
+        # away in the flat order, so every difference below is taken over
+        # contiguous runs of the same elements.
+        ring = (rows, n_r, n_t * n_z)
+        h2, k2, rate2 = h.reshape(ring), k.reshape(ring), rate.reshape(ring)
+        radial_lo, radial_hi, azimuthal = _stencil(grid)
+
+        # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R
+        if n_r > 1:
+            inner = (rows, n_r - 1, n_t * n_z)
+            f_r = flux[:rows * (n_r - 1) * n_t * n_z].reshape(inner)
+            d_r = df[:f_r.size].reshape(inner)
+            np.add(k2[:, 1:], k2[:, :-1], out=f_r)
+            np.subtract(h2[:, 1:], h2[:, :-1], out=d_r)
+            f_r *= d_r
+            np.multiply(f_r, radial_lo, out=d_r)
+            rate2[:, :-1] += d_r
+            np.multiply(f_r, radial_hi, out=d_r)
+            rate2[:, 1:] -= d_r
+
+        # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic; flux_t block j
+        # sits at face j - 1/2, so the wrapped face appears at both ends
+        if n_t > 1:
+            flux_t = work.flux_t
+            inner_t = flux_t[..., n_z:-n_z]
+            np.add(k2[..., :-n_z], k2[..., n_z:], out=inner_t)
+            d_t = df.reshape(ring)[..., :-n_z]
+            np.subtract(h2[..., n_z:], h2[..., :-n_z], out=d_t)
+            inner_t *= d_t
+            np.multiply(k2[..., -n_z:] + k2[..., :n_z], h2[..., :n_z] - h2[..., -n_z:],
+                        out=flux_t[..., -n_z:])
+            flux_t[..., :n_z] = flux_t[..., -n_z:]
+            d_t = df.reshape(ring)
+            np.subtract(flux_t[..., n_z:], flux_t[..., :-n_z], out=d_t)
+            d_t *= azimuthal
+            rate2 += d_t
+
+        sink = sink_term(h, grid, forcing, self.roots, out=work.sink)
+        rate += sink
+        rate /= c_eff
+        return rate, g_bottom, sink
+
+    def _check(self, x, batch: bool) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = self.grid.n_nodes
+        if x.shape[-1:] != (n,) or x.ndim not in ((1, 2) if batch else (1,)):
+            expected = f"({n},) or (B, {n})" if batch else f"({n},)"
+            raise DimensionMismatch(f"state has shape {x.shape}, expected {expected}")
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState("state contains non-finite entries")
+        return x
+
     def rhs(self, x, surface, forcing):
-        return rhs(x, surface, forcing, self.grid, self._soil3,
-                   roots=self.roots, storativity=self.storativity, bottom_bc=self.bottom_bc)
+        """Time derivative dx/dt [m/s] of the pressure-head state, flat-index order."""
+        x = self._check(x, batch=False)
+        if not np.all(np.isfinite(surface.u)):
+            raise NonFiniteState("surface input contains non-finite entries")
+        h = x.reshape(1, -1)
+        rate, _, _ = self._rates(h, _surface_flux(surface, forcing, self.grid), forcing,
+                                 _Workspace(h.shape, self.grid))
+        return rate.reshape(x.shape)
 
     def step(self, x, surface, forcing, dt, budget=None):
-        return step(x, surface, forcing, self.grid, self._soil3, dt,
-                    substeps=self.substeps, roots=self.roots,
-                    storativity=self.storativity, bottom_bc=self.bottom_bc, budget=budget)
+        """Advance the state by dt with explicit Euler over fixed equal sub-steps.
+
+        ``x`` may be one state (n_nodes,) or a batch (B, n_nodes) of independent
+        states that share the inputs; each row gets exactly the values a
+        single-state call would give it. ``budget`` accumulates one state's
+        boundary and sink volumes.
+        """
+        if not dt > 0:
+            raise ValidationError("dt must be > 0")
+        x = self._check(x, batch=True)
+        if budget is not None and x.ndim != 1:
+            raise ValidationError("a water budget is kept for one state at a time")
+        grid = self.grid
+        q_in = _surface_flux(surface, forcing, grid)
+        sub = dt / self.substeps
+        h = x.reshape(-1, grid.n_nodes).copy()
+        work = _Workspace(h.shape, grid)
+        if budget is not None:
+            area = grid.column_area()
+            volume = grid.cell_volumes()
+        for _ in range(self.substeps):
+            rate, g_bottom, sink = self._rates(h, q_in, forcing, work)
+            rate *= sub
+            h += rate
+            # |h| beyond any physical suction (or NaN) means the explicit update diverged
+            if not np.abs(h, out=work.face).max() <= 1e6:
+                raise UnstableStep(
+                    f"state diverged after a sub-step of {sub:g} s; increase substeps"
+                )
+            if budget is not None:
+                budget.inflow += float(np.sum(q_in * area)) * sub
+                budget.drainage += float(np.sum(g_bottom * area)) * sub
+                budget.extraction += float(np.sum(-sink.reshape(volume.shape) * volume)) * sub
+        return h.reshape(x.shape)
 
     def simulate(self, x0, inputs, dt):
         """Chain steps over (surface, forcing) pairs; returns (len(inputs)+1, n) states."""

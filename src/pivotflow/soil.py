@@ -44,7 +44,8 @@ class SoilField:
     """Per-node parameter arrays expanded from per-zone values.
 
     Provides the same attribute surface as ``VanGenuchtenParams`` so the
-    closures below work unchanged on full grids.
+    closures below work unchanged on full grids; the parameter products the
+    closures read are computed once, here.
     """
 
     def __init__(self, alpha, n_vg, theta_r, theta_s, k_s):
@@ -54,6 +55,11 @@ class SoilField:
         self.theta_s = np.asarray(theta_s, dtype=float)
         self.k_s = np.asarray(k_s, dtype=float)
         self.m_vg = 1.0 - 1.0 / self.n_vg
+        self.neg_alpha = -self.alpha
+        self.n_minus_1 = self.n_vg - 1.0
+        self.neg_m_plus_1 = -(self.m_vg + 1.0)
+        self.half_neg_m = -0.5 * self.m_vg
+        self.c_scale = (self.theta_s - self.theta_r) * self.m_vg * self.n_vg * self.alpha
 
     @classmethod
     def from_zones(cls, zone_of_node: np.ndarray, zones: "list[VanGenuchtenParams]") -> "SoilField":
@@ -63,6 +69,11 @@ class SoilField:
             raise ValidationError("zone_of_node references a zone outside soil.zones")
         pick = lambda attr: np.array([getattr(p, attr) for p in zones], dtype=float)[z]
         return cls(pick("alpha"), pick("n_vg"), pick("theta_r"), pick("theta_s"), pick("k_s"))
+
+    @classmethod
+    def of(cls, p) -> "SoilField":
+        """``p`` itself if it is a SoilField, else a SoilField of its (scalar) values."""
+        return p if isinstance(p, cls) else cls(p.alpha, p.n_vg, p.theta_r, p.theta_s, p.k_s)
 
 
 def effective_saturation(h, p):
@@ -79,45 +90,64 @@ def water_content(h, p):
     return p.theta_r + (p.theta_s - p.theta_r) * effective_saturation(h, p)
 
 
-def suction_powers(h, p):
-    """(alpha|h|, (alpha|h|)^n, 1 + (alpha|h|)^n), with |h| read as 0 where h >= 0.
+def suction_logs(h, p, out=None):
+    """(L, nL, lo) = (log(alpha|h|), n L, log(1 + exp(nL))), with |h| read as 0 where h >= 0.
 
-    The terms both closures below start from; pass them as ``powers`` to
-    evaluate them once per state.
+    The terms both closures below start from; pass them as ``logs`` to
+    evaluate them once per state. Where h >= 0, L = nL = -inf and lo = 0,
+    which sends the closures' exponentials to their saturated limits with no
+    further mask. ``out`` takes three arrays of the broadcast shape to write
+    the terms into.
     """
     h = np.asarray(h, dtype=float)
-    ah = p.alpha * np.abs(np.minimum(h, 0.0))
+    p = SoilField.of(p)
+    if out is None:
+        shape = np.broadcast_shapes(h.shape, np.shape(p.alpha))
+        out = (np.empty(shape), np.empty(shape), np.empty(shape))
+    log_ah, n_log, log_one_a = out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.multiply(h, p.neg_alpha, out=log_ah)
+        np.maximum(log_ah, 0.0, out=log_ah)
+        np.log(log_ah, out=log_ah)
+        np.multiply(log_ah, p.n_vg, out=n_log)
+        np.exp(n_log, out=log_one_a)
+        log_one_a += 1.0
+        np.log(log_one_a, out=log_one_a)
+    return out
+
+
+def capillary_capacity(h, p, logs=None, out=None):
+    """Capillary capacity c(h) = d theta / dh [1/m]; 0 at saturation.
+
+    c = (theta_s - theta_r) m n alpha exp((n - 1) L - (m + 1) lo) in the
+    terms of ``suction_logs``.
+    """
+    p = SoilField.of(p)
+    log_ah, _, log_one_a = suction_logs(h, p) if logs is None else logs
     with np.errstate(over="ignore", invalid="ignore"):
-        an = np.power(ah, p.n_vg)
-        return ah, an, 1.0 + an
+        c = np.multiply(log_ah, p.n_minus_1, out=np.empty_like(log_ah) if out is None else out)
+        c += np.multiply(log_one_a, p.neg_m_plus_1, out=np.empty_like(log_one_a))
+        np.exp(c, out=c)
+        c *= p.c_scale
+    return c
 
 
-def capillary_capacity(h, p, powers=None):
-    """Capillary capacity c(h) = d theta / dh [1/m]; 0 at saturation."""
-    h = np.asarray(h, dtype=float)
-    ah, an, one_an = suction_powers(h, p) if powers is None else powers
+def hydraulic_conductivity(h, p, logs=None, out=None):
+    """Unsaturated hydraulic conductivity K(h) [m/s], Mualem form; K(0) = K_s.
+
+    K = K_s S_e^(1/2) (1 - (1 - S_e^(1/m))^m)^2 with S_e^(1/m) = 1/(1 + a),
+    evaluated as K_s exp(-m lo/2) (1 - exp(m (nL - lo)))^2 in the terms of
+    ``suction_logs``.
+    """
+    p = SoilField.of(p)
+    _, n_log, log_one_a = suction_logs(h, p) if logs is None else logs
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (
-            (p.theta_s - p.theta_r)
-            * p.m_vg
-            * p.n_vg
-            * p.alpha
-            * np.power(ah, p.n_vg - 1.0)
-            * np.power(one_an, -(p.m_vg + 1.0))
-        )
-    # 0/inf limits (h = 0 exactly, or overflowed powers) are dry/saturated ends
-    c = np.where(np.isfinite(c), c, 0.0)
-    return np.where(h >= 0.0, 0.0, c)
-
-
-def hydraulic_conductivity(h, p, powers=None):
-    """Unsaturated hydraulic conductivity K(h) [m/s], Mualem form; K(0) = K_s."""
-    h = np.asarray(h, dtype=float)
-    _, a, one_a = suction_powers(h, p) if powers is None else powers
-    with np.errstate(over="ignore", invalid="ignore"):
-        se = np.power(one_a, -p.m_vg)
-        # se**(1/m) == 1/(1+a); write it that way to avoid pow round-trip error
-        inner = 1.0 - np.power(a / one_a, p.m_vg)
-        k = p.k_s * np.sqrt(se) * inner * inner
-    k = np.where(np.isfinite(k), k, 0.0)
-    return np.where(h >= 0.0, p.k_s, k)
+        k = np.subtract(n_log, log_one_a, out=np.empty_like(n_log) if out is None else out)
+        k *= p.m_vg
+        np.exp(k, out=k)
+        np.subtract(1.0, k, out=k)
+        k *= k
+        root_se = np.multiply(log_one_a, p.half_neg_m, out=np.empty_like(log_one_a))
+        k *= np.exp(root_se, out=root_se)
+        k *= p.k_s
+    return k

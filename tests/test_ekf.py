@@ -8,6 +8,7 @@ from pivotflow import (
     DimensionMismatch,
     FullModel,
     NoiseConfig,
+    NonFiniteState,
     ReducedEkfState,
     SingularInnovation,
     StepForcing,
@@ -85,6 +86,21 @@ class TestPredict:
         assert batched.xi.tobytes() == looped.xi.tobytes()
         assert batched.cov.tobytes() == looped.cov.tobytes()
 
+    def test_predict_makes_one_full_step_call(self, loam, monkeypatch):
+        # The estimate and its r_m perturbed copies share one (r_m + 1)-row
+        # full-model step.
+        from pivotflow import CylindricalGrid, ReducedModel
+
+        grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
+        reduced = ReducedModel(FullModel(grid, loam, substeps=4), u)
+        state = make_state(np.full(7, -20.0), np.eye(7), 0.1 * np.eye(7), np.zeros((1, 7)), projection=u)
+        rows = []
+        step = FullModel.step
+        monkeypatch.setattr(FullModel, "step", lambda self, x, *a: rows.append(np.shape(x)) or step(self, x, *a))
+        ekf_predict(state, reduced, SurfaceInput(np.zeros(grid.n_r), 0), StepForcing(), 900.0)
+        assert rows == [(8, grid.n_nodes)]
+
     def test_frozen_dynamics_keep_covariance(self):
         state = make_state([1.0, -2.0], 0.3 * np.eye(2), np.zeros((2, 2)), np.zeros((1, 2)))
         out = ekf_predict(state, LinearTestModel(np.eye(2)), None, None, 1.0)
@@ -152,6 +168,11 @@ class TestUpdate:
         state = make_state([0.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
         with pytest.raises(SingularInnovation):
             ekf_update(state, np.zeros(2), np.zeros((2, 2)))
+
+    def test_non_finite_measurement_rejected(self):
+        state = make_state([0.0], [[1.0]], [[0.0]], [[1.0]])
+        with pytest.raises(NonFiniteState, match="measurement contains non-finite entries"):
+            ekf_update(state, np.array([np.nan]), np.eye(1))
 
     def test_measurement_length_checked(self):
         state = make_state([0.0], [[1.0]], [[0.0]], [[1.0]])

@@ -117,7 +117,6 @@ class TestRhs:
         h_a = h3[i_r, i_t, i_z]
         h_b = h3[i_r, i_t + 1, i_z]
         k_face = 0.5 * (hydraulic_conductivity(h_a, loam) + hydraulic_conductivity(h_b, loam))
-        capacity = model._soil3  # scalar params: evaluate capacity directly
         from pivotflow import capillary_capacity
 
         c_b = max(capillary_capacity(h_b, loam), model.storativity)
@@ -166,36 +165,45 @@ class TestStep:
         a = model.step(h, surface, forcing, 1800.0)
         b = model.step(h, surface, forcing, 1800.0)
         assert np.array_equal(a, b)
+        # water accounting reads the sub-step's parts; it takes no other path
+        budget = WaterBudget()
+        assert model.step(h, surface, forcing, 1800.0, budget=budget).tobytes() == a.tobytes()
+        assert budget.inflow > 0 and budget.drainage > 0 and budget.extraction > 0
 
     def test_grid_caches_do_not_mix_grids(self, loam):
-        # The stepper caches stencil factors per grid and the root profile per
-        # (grid, root depth). Interleaved steps on grids of different shapes,
-        # on one shape with different extents, and on one grid with two root
-        # depths must each match a step taken with empty caches on a freshly
-        # built model.
+        # The stepper caches stencil coefficients per grid and the root
+        # weights per (grid, root depth), and each model holds its own soil
+        # products. Interleaved steps on grids of different shapes, on one
+        # shape with different extents, on one grid with two root depths and
+        # on one grid with two soils must each match a step taken with empty
+        # caches on a freshly built model.
         from pivotflow import richards
 
+        sand = VanGenuchtenParams(alpha=4.5, n_vg=1.68, theta_r=0.065, theta_s=0.45, k_s=5.0e-6)
+        desk = CylindricalGrid(10, 12, 6, radius=5.0, depth=0.4)
         cases = [
-            (CylindricalGrid(10, 12, 6, radius=5.0, depth=0.4), 0.3),
-            (CylindricalGrid(4, 6, 4, radius=2.0, depth=0.4), 0.25),
-            (CylindricalGrid(4, 6, 4, radius=3.0, depth=0.3), 0.1),
-            (CylindricalGrid(10, 12, 6, radius=5.0, depth=0.4), 0.15),
+            (desk, 0.3, loam),
+            (CylindricalGrid(4, 6, 4, radius=2.0, depth=0.4), 0.25, loam),
+            (CylindricalGrid(4, 6, 4, radius=3.0, depth=0.3), 0.1, loam),
+            (desk, 0.15, loam),
+            (desk, 0.3, sand),
+            (desk, 0.3, SoilField.from_zones(desk.quadrant_of_node(), [loam, sand] * 2)),
         ]
         rng = np.random.default_rng(9)
         forcing = StepForcing(et=3e-8, k_c=0.7, rain=1e-8)
 
-        def build(grid, root_depth):
-            return FullModel(grid, loam, roots=RootUptake(root_depth=root_depth), substeps=6)
+        def build(grid, root_depth, soil):
+            return FullModel(grid, soil, roots=RootUptake(root_depth=root_depth), substeps=6)
 
         states, expected = [], []
-        for grid, root_depth in cases:
+        for grid, root_depth, soil in cases:
             h = rng.uniform(-12.0, -4.0, grid.n_nodes)
             richards._stencil.cache_clear()
-            richards.root_fraction.cache_clear()
-            expected.append(build(grid, root_depth).step(h, SurfaceInput(np.full(grid.n_r, 2e-7), 1),
-                                                         forcing, 1800.0))
+            richards.root_weight.cache_clear()
+            expected.append(build(grid, root_depth, soil).step(
+                h, SurfaceInput(np.full(grid.n_r, 2e-7), 1), forcing, 1800.0))
             states.append(h)
-        models = [build(grid, root_depth) for grid, root_depth in cases]
+        models = [build(*case) for case in cases]
         for _ in range(2):
             for model, h, want in zip(models, states, expected):
                 got = model.step(h, SurfaceInput(np.full(model.grid.n_r, 2e-7), 1), forcing, 1800.0)

@@ -9,6 +9,7 @@ from pivotflow import (
     DegenerateReference,
     DimensionMismatch,
     FullModel,
+    NonFiniteState,
     PivotflowError,
     RunArtifacts,
     export_artifacts,
@@ -295,10 +296,10 @@ class TestLookahead:
         else:
             assert rows[1] == rows[0]  # scheduled triggers end a block, so nothing is discarded
 
-    @pytest.mark.parametrize("stride, failing", [(1, 5), (2, 6)])
+    @pytest.mark.parametrize("stride, failing", [(1, 5), (2, 5)])
     def test_error_names_the_same_step(self, stride, failing, monkeypatch):
-        # A NaN measurement at step 5 makes its e_L window (stride 1) or the
-        # next prediction (stride 2) fail, and every look-ahead step after it.
+        # The update rejects the NaN measurement of step 5 whatever the e_L
+        # stride, and every look-ahead step after it fails too.
         cfg = config_from_dict(dict(TINY, steps=16, stride=stride))
         measurements = run_truth(cfg).measurements.copy()
         measurements[5, 1] = np.nan
@@ -308,7 +309,7 @@ class TestLookahead:
                 self._estimate(monkeypatch, lookahead, cfg, measurements)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
-        assert errors[0][1].startswith(f"step {failing}: ")
+        assert errors[0] == (NonFiniteState, f"step {failing}: measurement contains non-finite entries")
 
     def test_iter_seconds_add_up_to_loop_wall_time(self, monkeypatch):
         readings = []

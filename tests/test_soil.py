@@ -1,5 +1,7 @@
 """van Genuchten-Mualem closure tests."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,13 @@ from pivotflow import (
 )
 
 LOAM = VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6)
+# the four soils of configs/desk.yaml; the first is LOAM
+DESK_ZONES = [
+    LOAM,
+    VanGenuchtenParams(alpha=2.0, n_vg=1.41, theta_r=0.095, theta_s=0.41, k_s=1.2e-6),
+    VanGenuchtenParams(alpha=4.5, n_vg=1.68, theta_r=0.065, theta_s=0.45, k_s=5.0e-6),
+    VanGenuchtenParams(alpha=3.0, n_vg=1.48, theta_r=0.085, theta_s=0.42, k_s=2.0e-6),
+]
 
 
 def test_water_content_saturation_limit():
@@ -96,6 +105,34 @@ def test_closures_monotone_pairwise(h1, h2):
     lo, hi = min(h1, h2), max(h1, h2)
     assert water_content(lo, LOAM) <= water_content(hi, LOAM) + 1e-15
     assert hydraulic_conductivity(lo, LOAM) <= hydraulic_conductivity(hi, LOAM) + 1e-25
+
+
+def _reference_closures(h, p):
+    """K(h) and c(h) from their power forms in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        alpha, n = Decimal(p.alpha), Decimal(p.n_vg)
+        m = 1 - 1 / n
+        ah = alpha * -Decimal(h)
+        a = ah**n
+        one_a = 1 + a
+        k = Decimal(p.k_s) * one_a ** (-m / 2) * (1 - (a / one_a) ** m) ** 2
+        c = (Decimal(p.theta_s) - Decimal(p.theta_r)) * m * n * alpha * ah ** (n - 1) * one_a ** (-(m + 1))
+        return float(k), float(c)
+
+
+@pytest.mark.parametrize("heads, k_bound, c_bound", [
+    # Largest relative errors found over these heads and soils: K 2.1e-9 and
+    # c 4.4e-15 overall, K 1.0e-12 and c 3.3e-15 in the band. K loses digits
+    # at the dry end, where nL - lo in the log form cancels.
+    (-np.logspace(-3, 3, 200), 2.5e-9, 5e-15),
+    (np.linspace(-14.0, -0.5, 200), 1.2e-12, 4e-15),
+])
+def test_closures_match_decimal_reference(heads, k_bound, c_bound):
+    for p in DESK_ZONES:
+        ref = np.array([_reference_closures(h, p) for h in heads])
+        assert np.max(np.abs(hydraulic_conductivity(heads, p) / ref[:, 0] - 1.0)) <= k_bound
+        assert np.max(np.abs(capillary_capacity(heads, p) / ref[:, 1] - 1.0)) <= c_bound
 
 
 def test_parameter_invariants_enforced():

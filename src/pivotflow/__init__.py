@@ -16,6 +16,7 @@ from .ekf import (
     ekf_predict,
     ekf_update,
     initialize_filter,
+    percent_mae,
     reconstruct,
     run_adaptive_estimation,
     slope_estimate,
@@ -53,16 +54,13 @@ from .richards import (
     SurfaceInput,
     WaterBudget,
     observe,
-    rhs,
     sink_term,
-    step,
 )
 from .runner import (
     RunArtifacts,
     TruthRun,
     export_artifacts,
     export_comparison,
-    percent_mae,
     run_compare,
     run_scheme,
     run_truth,

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    DegenerateReference,
     DimensionMismatch,
     JacobianFailure,
     NonFiniteState,
@@ -91,12 +92,6 @@ class NoiseConfig:
         """P_r(0) = U^T P(0) U."""
         return self._reduced(projection, self.p0_diag, self.p0_offdiag)
 
-    def dense_process_cov(self, n: int) -> np.ndarray:
-        return (self.q_diag - self.q_offdiag) * np.eye(n) + self.q_offdiag * np.ones((n, n))
-
-    def dense_initial_cov(self, n: int) -> np.ndarray:
-        return (self.p0_diag - self.p0_offdiag) * np.eye(n) + self.p0_offdiag * np.ones((n, n))
-
 
 @dataclass(frozen=True)
 class ReducedEkfState:
@@ -133,43 +128,32 @@ def initialize_filter(projection: sp.csr_matrix, x0_full, noise: NoiseConfig,
     )
 
 
-def _fd_jacobian(transition, xi: np.ndarray, batched: bool = False):
+def _fd_jacobian(transition, xi: np.ndarray):
     """The transition at xi and its forward-difference Jacobian there.
 
-    With ``batched`` the transition takes xi and every perturbed state as the
-    n + 1 rows of one array; each row comes out as with one call per state.
+    The transition takes xi and every perturbed state as the n + 1 rows of
+    one array.
     """
     n = xi.size
     deltas = np.maximum(1e-6, 1e-6 * np.abs(xi))
-    if batched:
-        rows = np.repeat(xi[None, :], n + 1, axis=0)
-        rows[np.arange(1, n + 1), np.arange(n)] += deltas
-        f = transition(rows)
-        f0 = f[0]
-        bad = ~np.all(np.isfinite(f[1:]), axis=1)
-        if bad.any():
-            raise JacobianFailure(f"non-finite transition for perturbed coordinate {int(np.argmax(bad))}")
-        return f0, np.ascontiguousarray(((f[1:] - f0) / deltas[:, None]).T)
-    f0 = transition(xi)
-    jac = np.empty((f0.size, n))
-    for i in range(n):
-        perturbed = xi.copy()
-        perturbed[i] += deltas[i]
-        f_i = transition(perturbed)
-        if not np.all(np.isfinite(f_i)):
-            raise JacobianFailure(f"non-finite transition for perturbed coordinate {i}")
-        jac[:, i] = (f_i - f0) / deltas[i]
-    return f0, jac
+    rows = np.repeat(xi[None, :], n + 1, axis=0)
+    rows[np.arange(1, n + 1), np.arange(n)] += deltas
+    f = transition(rows)
+    f0 = f[0]
+    bad = ~np.all(np.isfinite(f[1:]), axis=1)
+    if bad.any():
+        raise JacobianFailure(f"non-finite transition for perturbed coordinate {int(np.argmax(bad))}")
+    return f0, np.ascontiguousarray(((f[1:] - f0) / deltas[:, None]).T)
 
 
 def ekf_predict(state: ReducedEkfState, model, surface, forcing, dt: float) -> ReducedEkfState:
     """Propagate estimate and covariance one sampling interval (zero disturbance).
 
-    A ``ReducedModel`` steps the estimate and all Jacobian columns as one
-    batch; other models are called once per state.
+    ``model.step`` must take a (B, r) batch of reduced states: the estimate
+    and all r Jacobian columns are stepped as the r + 1 rows of one call.
     """
     transition = lambda xi: model.step(xi, surface, forcing, dt)
-    xi_pred, a_d = _fd_jacobian(transition, state.xi, batched=isinstance(model, ReducedModel))
+    xi_pred, a_d = _fd_jacobian(transition, state.xi)
     cov = a_d @ state.cov @ a_d.T + state.q_r
     cov = 0.5 * (cov + cov.T)
     return replace(state, xi=xi_pred, cov=cov)
@@ -244,8 +228,7 @@ def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full
     from its projection) and run the same scheduled inputs without noise.
     A reduced step lifts, takes a full-model step and projects back, so the
     full state and the lifted reduced state advance as one batch of
-    full-model steps. A reduced model that does not wrap ``model`` is
-    stepped on its own.
+    full-model steps.
 
     With ``offsets`` (ascending clock ticks, one per window) ``x_hat_full``
     is a (W, n) batch of start states and an array of W gaps is returned.
@@ -261,8 +244,6 @@ def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full
     horizon = len(inputs) - ticks[-1]
     if horizon < 1:
         raise ValidationError("error metric needs at least one prediction interval")
-    reduced = ReducedModel(model, projection)
-    paired = getattr(reduced, "full", None) is model
     full_traj = np.empty((len(ticks), horizon + 1, model.n_states))
     red_traj = np.empty((len(ticks), horizon + 1, projection.shape[1]))
     full_traj[:, 0] = starts
@@ -272,17 +253,12 @@ def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full
         live = [(w, t - o) for w, o in enumerate(ticks) if 0 <= t - o < horizon]
         if not live:
             continue
-        if paired:
-            rows = model.step(np.stack([full_traj[w, j] for w, j in live]
-                                       + [lift_state(projection, red_traj[w, j]) for w, j in live]),
-                              surface, forcing, dt)
-            for (w, j), full_row, red_row in zip(live, rows, rows[len(live):]):
-                full_traj[w, j + 1] = full_row
-                red_traj[w, j + 1] = reduce_state(projection, red_row)
-        else:
-            for w, j in live:
-                full_traj[w, j + 1] = model.step(full_traj[w, j], surface, forcing, dt)
-                red_traj[w, j + 1] = reduced.step(red_traj[w, j], surface, forcing, dt)
+        rows = model.step(np.stack([full_traj[w, j] for w, j in live]
+                                   + [lift_state(projection, red_traj[w, j]) for w, j in live]),
+                          surface, forcing, dt)
+        for (w, j), full_row, red_row in zip(live, rows, rows[len(live):]):
+            full_traj[w, j + 1] = full_row
+            red_traj[w, j + 1] = reduce_state(projection, red_row)
     # one contiguous (horizon, n) gap array per window keeps the summation order
     gaps = np.array([np.abs((projection @ red.T).T[1:] - full[1:]).sum() / model.n_states
                      for full, red in zip(full_traj, red_traj)])
@@ -342,6 +318,18 @@ class EstimationTrace:
     percent_mae: np.ndarray | None = None
 
 
+def percent_mae(x_hat, x_true) -> float:
+    """Mean absolute estimation error normalized by the mean absolute state, in %."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    x_true = np.asarray(x_true, dtype=float)
+    if x_hat.shape != x_true.shape:
+        raise DimensionMismatch(f"shapes {x_hat.shape} and {x_true.shape} differ")
+    denom = np.abs(x_true).sum()
+    if denom == 0.0:
+        raise DegenerateReference("reference state is identically zero")
+    return float(100.0 * np.abs(x_hat - x_true).sum() / denom)
+
+
 def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> EstimationTrace:
     """Run the performance-triggered reduced EKF loop over a measurement stream.
 
@@ -395,12 +383,11 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
         model_changes=[],
         percent_mae=None if truth is None else np.empty(n),
     )
-    if truth is not None:
-        from .runner import percent_mae  # deferred: runner imports this module
 
     k = 0
     carry = 0.0  # seconds of discarded look-ahead, charged to the step that reopens the block
     clock = perf_counter()
+    # layer functions are looked up in this module's globals: the benchmark's tracer patches them here
     while k < n:
         # 1. filter ahead; the scheduled triggers (all but performance) are known in advance
         block, spent = [], []  # (fired, state, x_hat) and seconds per step
@@ -414,8 +401,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
                     m += 1
                     origin = max(s - 1, 0)
                     snapshots = generate_snapshots(
-                        model, ahead_x, cfg.estimator_inputs_window(origin, cfg.n_fd),
-                        cfg.delta_s, origin_step=origin,
+                        model, ahead_x, cfg.estimator_inputs_window(origin, cfg.n_fd), cfg.delta_s,
                     )
                     projection = build_projection(cluster_trajectories(snapshots, cfg.th_c))
                     if ahead is None:

@@ -24,7 +24,6 @@ class SnapshotMatrix:
     """Node trajectories over a prediction window: (n_steps + 1) x n_nodes."""
 
     data: np.ndarray
-    origin_step: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
@@ -61,11 +60,11 @@ class Clustering:
         return cls(np.arange(n_nodes), n_nodes)
 
 
-def generate_snapshots(model: FullModel, x0, inputs, dt: float, origin_step: int = 0) -> SnapshotMatrix:
+def generate_snapshots(model: FullModel, x0, inputs, dt: float) -> SnapshotMatrix:
     """Noise-free forward simulation of the full model over the input schedule."""
     if len(inputs) < 1:
         raise ValidationError("snapshot generation needs at least one interval")
-    return SnapshotMatrix(model.simulate(x0, inputs, dt), origin_step)
+    return SnapshotMatrix(model.simulate(x0, inputs, dt))
 
 
 def trajectory_distance(a, b) -> float:
@@ -124,16 +123,6 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float, record_merges: 
     return Clustering(ids[labels], first.size, tuple(merges))
 
 
-def format_merge_log(clustering: Clustering) -> str:
-    """One line per merge: absorbing id, absorbed id, linkage distance."""
-    return "\n".join(f"{i} {j} {d:.17g}" for i, j, d in clustering.merges)
-
-
-def format_assignment(clustering: Clustering) -> str:
-    """One line per node: node index, cluster id."""
-    return "\n".join(f"{i} {c}" for i, c in enumerate(clustering.assignment))
-
-
 def build_projection(clustering: Clustering) -> sp.csr_matrix:
     """Sparse n_nodes x n_clusters projection with weights 1/sqrt(cluster size)."""
     n = clustering.assignment.size
@@ -188,10 +177,3 @@ class ReducedModel:
         lifted = (self.projection @ rows.T).T
         stepped = self.full.step(lifted, surface, forcing, dt)
         return (self.projection.T @ stepped.T).T.reshape(xi.shape)
-
-    def simulate(self, xi0, inputs, dt) -> np.ndarray:
-        out = np.empty((len(inputs) + 1, self.order))
-        out[0] = np.asarray(xi0, dtype=float)
-        for j, (surface, forcing) in enumerate(inputs):
-            out[j + 1] = self.step(out[j], surface, forcing, dt)
-        return out

@@ -40,8 +40,8 @@ class SurfaceInput:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.ndim != 1:
             raise ValidationError("u must be a 1-D array of per-ring rates")
-        if self.u.size and self.u.min() < 0:
-            raise ValidationError("u must be nonnegative")
+        if self.u.size and not 0 <= self.u.min() <= self.u.max() < np.inf:
+            raise ValidationError("u must be finite and nonnegative")
 
     @classmethod
     def idle(cls, n_r: int) -> "SurfaceInput":
@@ -57,8 +57,9 @@ class StepForcing:
     rain: float = 0.0
 
     def __post_init__(self):
-        if self.et < 0 or self.k_c < 0 or self.rain < 0:
-            raise ValidationError("forcing rates must be nonnegative")
+        for name in ("et", "k_c", "rain"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and nonnegative")
 
 
 class EnvironmentForcing:
@@ -70,8 +71,8 @@ class EnvironmentForcing:
         self.rain = np.atleast_1d(np.asarray(rain, dtype=float))
         for name in ("et", "k_c", "rain"):
             arr = getattr(self, name)
-            if arr.size == 0 or arr.min() < 0:
-                raise ValidationError(f"{name} series must be nonempty and nonnegative")
+            if arr.size == 0 or not 0 <= arr.min() <= arr.max() < np.inf:
+                raise ValidationError(f"{name} series must be nonempty, finite and nonnegative")
 
     def at(self, k: int) -> StepForcing:
         pick = lambda a: float(a[min(k, a.size - 1)])
@@ -197,23 +198,6 @@ def _node_soil(soil, grid: CylindricalGrid) -> SoilField:
     fields = [np.asarray(getattr(soil, f), dtype=float)
               for f in ("alpha", "n_vg", "theta_r", "theta_s", "k_s")]
     return SoilField(*(a if a.ndim == 0 else a.reshape(grid.n_nodes) for a in fields))
-
-
-def rhs(x, surface: SurfaceInput, forcing: StepForcing, grid: CylindricalGrid, soil,
-        roots: RootUptake | None = None, storativity: float = 1e-4,
-        bottom_bc: str = "free_drainage") -> np.ndarray:
-    """Time derivative dx/dt [m/s] of the pressure-head state, flat-index order."""
-    return FullModel(grid, soil, roots=roots, storativity=storativity,
-                     bottom_bc=bottom_bc).rhs(x, surface, forcing)
-
-
-def step(x, surface: SurfaceInput, forcing: StepForcing, grid: CylindricalGrid, soil,
-         dt: float, substeps: int = 12, roots: RootUptake | None = None,
-         storativity: float = 1e-4, bottom_bc: str = "free_drainage",
-         budget: WaterBudget | None = None) -> np.ndarray:
-    """Advance the state by dt with explicit Euler over fixed equal sub-steps (see ``FullModel.step``)."""
-    return FullModel(grid, soil, roots=roots, substeps=substeps, storativity=storativity,
-                     bottom_bc=bottom_bc).step(x, surface, forcing, dt, budget=budget)
 
 
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
@@ -362,8 +346,6 @@ class FullModel:
     def rhs(self, x, surface, forcing):
         """Time derivative dx/dt [m/s] of the pressure-head state, flat-index order."""
         x = self._check(x, batch=False)
-        if not np.all(np.isfinite(surface.u)):
-            raise NonFiniteState("surface input contains non-finite entries")
         h = x.reshape(1, -1)
         rate, _, _ = self._rates(h, _surface_flux(surface, forcing, self.grid), forcing,
                                  _Workspace(h.shape, self.grid))

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .ekf import run_adaptive_estimation
-from .errors import DegenerateReference, DimensionMismatch
 from .grid import CylindricalGrid
 from .richards import observe
 from .scenario import ScenarioConfig
@@ -52,18 +51,6 @@ class RunArtifacts:
     iter_seconds: np.ndarray
     model_changes: list
     snapshots: dict  # step -> (h_true, h_est)
-
-
-def percent_mae(x_hat, x_true) -> float:
-    """Mean absolute estimation error normalized by the mean absolute state, in %."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    x_true = np.asarray(x_true, dtype=float)
-    if x_hat.shape != x_true.shape:
-        raise DimensionMismatch(f"shapes {x_hat.shape} and {x_true.shape} differ")
-    denom = np.abs(x_true).sum()
-    if denom == 0.0:
-        raise DegenerateReference("reference state is identically zero")
-    return float(100.0 * np.abs(x_hat - x_true).sum() / denom)
 
 
 def run_truth(cfg: ScenarioConfig) -> TruthRun:

@@ -30,3 +30,17 @@ def hydrostatic_state(grid, head_at_bottom):
     """h + z constant; bottom cell center at z = dz/2."""
     z = grid.node_coordinates()[2]
     return head_at_bottom + grid.dz / 2 - z
+
+
+def dense_cov(diag, offdiag, n):
+    """(diag - offdiag) I + offdiag 1 1^T: NoiseConfig's structured Q or P0, materialized."""
+    return (diag - offdiag) * np.eye(n) + offdiag * np.ones((n, n))
+
+
+def simulate_reduced(reduced, xi0, inputs, dt):
+    """Chain single-state reduced steps over (surface, forcing) pairs; (len(inputs)+1, r) states."""
+    out = np.empty((len(inputs) + 1, reduced.order))
+    out[0] = np.asarray(xi0, dtype=float)
+    for j, (surface, forcing) in enumerate(inputs):
+        out[j + 1] = reduced.step(out[j], surface, forcing, dt)
+    return out

@@ -41,6 +41,8 @@ from pivotflow import (
 from pivotflow.cli import main as cli_main
 from pivotflow.reduction import ReducedModel
 
+from conftest import dense_cov
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LOAM = VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6)
 
@@ -83,8 +85,8 @@ def test_criterion_1_oracle_equivalence():
     c_mat = np.zeros((sensors.size, n))
     c_mat[np.arange(sensors.size), sensors] = 1.0
     x_ref = guess.copy()
-    p_ref = noise.dense_initial_cov(n)
-    q_ref = noise.dense_process_cov(n)
+    p_ref = dense_cov(noise.p0_diag, noise.p0_offdiag, n)
+    q_ref = dense_cov(noise.q_diag, noise.q_offdiag, n)
 
     worst = 0.0
     for k in range(100):

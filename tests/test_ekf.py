@@ -28,17 +28,17 @@ from pivotflow import (
 )
 from pivotflow.ekf import sensor_output_map
 
-from conftest import hydrostatic_state
+from conftest import dense_cov, simulate_reduced
 
 
 class LinearTestModel:
-    """Injected reduced dynamics xi' = A xi for Jacobian checks."""
+    """Injected reduced dynamics xi' = A xi for Jacobian checks, on a (B, r) batch of rows."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
 
     def step(self, xi, surface, forcing, dt):
-        return self.a @ xi
+        return np.array([self.a @ row for row in xi])
 
 
 def make_state(xi, cov, q_r, c_r, projection=None, model_index=1):
@@ -63,8 +63,8 @@ class TestPredict:
         assert np.abs(out.xi - a @ state.xi).max() == 0.0
 
     def test_batched_jacobian_equals_column_loop(self, loam):
-        # A ReducedModel steps every Jacobian column in one batch; a wrapper
-        # that is not one is called per column. Both must agree bit for bit.
+        # ekf_predict steps every Jacobian column in one batch; a reference
+        # that steps one perturbed state per call must agree bit for bit.
         from pivotflow import CylindricalGrid, ReducedModel
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
@@ -72,19 +72,22 @@ class TestPredict:
         u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
         reduced = ReducedModel(model, u)
 
-        class PerColumn:
-            def step(self, xi, surface, forcing, dt):
-                assert np.ndim(xi) == 1
-                return reduced.step(xi, surface, forcing, dt)
-
         rng = np.random.default_rng(5)
         state = make_state(rng.uniform(-20.0, -8.0, 7), np.eye(7), 0.1 * np.eye(7),
                            np.zeros((1, 7)), projection=u)
         inputs = (SurfaceInput(np.full(grid.n_r, 2e-7), 2), StepForcing(rain=1e-8))
         batched = ekf_predict(state, reduced, *inputs, 900.0)
-        looped = ekf_predict(state, PerColumn(), *inputs, 900.0)
-        assert batched.xi.tobytes() == looped.xi.tobytes()
-        assert batched.cov.tobytes() == looped.cov.tobytes()
+
+        f0 = reduced.step(state.xi, *inputs, 900.0)
+        jac = np.empty((7, 7))
+        for i in range(7):
+            delta = max(1e-6, 1e-6 * abs(state.xi[i]))
+            perturbed = state.xi.copy()
+            perturbed[i] += delta
+            jac[:, i] = (reduced.step(perturbed, *inputs, 900.0) - f0) / delta
+        cov = jac @ state.cov @ jac.T + state.q_r
+        assert batched.xi.tobytes() == f0.tobytes()
+        assert batched.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
 
     def test_predict_makes_one_full_step_call(self, loam, monkeypatch):
         # The estimate and its r_m perturbed copies share one (r_m + 1)-row
@@ -100,6 +103,20 @@ class TestPredict:
         monkeypatch.setattr(FullModel, "step", lambda self, x, *a: rows.append(np.shape(x)) or step(self, x, *a))
         ekf_predict(state, reduced, SurfaceInput(np.zeros(grid.n_r), 0), StepForcing(), 900.0)
         assert rows == [(8, grid.n_nodes)]
+
+    def test_predict_steps_any_model_once(self):
+        # Not only a ReducedModel: every model gets the estimate and its r
+        # perturbed copies as the r + 1 rows of one step call.
+        calls = []
+
+        class Counted(LinearTestModel):
+            def step(self, xi, surface, forcing, dt):
+                calls.append(np.shape(xi))
+                return super().step(xi, surface, forcing, dt)
+
+        state = make_state([1.0, -2.0, 0.5], np.eye(3), np.zeros((3, 3)), np.zeros((1, 3)))
+        ekf_predict(state, Counted(0.9 * np.eye(3)), None, None, 1.0)
+        assert calls == [(4, 3)]
 
     def test_frozen_dynamics_keep_covariance(self):
         state = make_state([1.0, -2.0], 0.3 * np.eye(2), np.zeros((2, 2)), np.zeros((1, 2)))
@@ -272,42 +289,6 @@ class TestErrorMetric:
         inputs = [(SurfaceInput(np.full(small_grid.n_r, 1e-7), 0), StepForcing(rain=1e-8))] * 4
         assert compute_error_metric(model, u, x0, inputs, 900.0) == 0.0
 
-    def test_constant_offset_sum_algebra(self):
-        # fabricated models: full holds the state, reduced drifts by delta/step
-        class Hold:
-            n_states = 5
-
-            def step(self, x, surface, forcing, dt):
-                return np.asarray(x, float)
-
-            def simulate(self, x0, inputs, dt):
-                out = [np.asarray(x0, float)]
-                for surface, forcing in inputs:
-                    out.append(self.step(out[-1], surface, forcing, dt))
-                return np.array(out)
-
-        import pivotflow.ekf as ekf_mod
-
-        delta = 0.25
-        n_fd = 6
-
-        class Drift(Hold):
-            def step(self, x, surface, forcing, dt):
-                return np.asarray(x, float) - delta
-
-        u = build_projection(Clustering.singletons(5))
-        full = Hold()
-        # monkeypatch ReducedModel construction via duck typing: wrap Drift inside
-        drift = Drift()
-        real = ekf_mod.ReducedModel
-        try:
-            ekf_mod.ReducedModel = lambda model, proj: drift
-            e = ekf_mod.compute_error_metric(full, u, np.full(5, -3.0), [(None, None)] * n_fd, 1.0)
-        finally:
-            ekf_mod.ReducedModel = real
-        # row j deviates by j*delta in every node; 5 nodes, divided by 5
-        assert e == pytest.approx(sum(j * delta for j in range(1, n_fd + 1)), rel=1e-12)
-
     def test_matches_naive_double_loop(self, loam):
         from pivotflow import CylindricalGrid, ReducedModel
 
@@ -348,7 +329,7 @@ class TestErrorMetric:
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (j % 2)), j), StepForcing(et=2e-8, k_c=0.5))
                   for j in range(3)]
         full = model.simulate(x0, inputs, 900.0)
-        red = ReducedModel(model, u).simulate(reduce_state(u, x0), inputs, 900.0)
+        red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 900.0)
         want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
         assert compute_error_metric(model, u, x0, inputs, 900.0) == want
 
@@ -439,8 +420,9 @@ class TestNoiseConfig:
         u = build_projection(Clustering(assignment, len(ids)))
         noise = NoiseConfig(q_diag=2.0, q_offdiag=0.5, p0_diag=1.0, p0_offdiag=5e-5)
         ud = u.toarray()
-        assert np.abs(noise.reduced_process_cov(u) - ud.T @ noise.dense_process_cov(10) @ ud).max() < 1e-12
-        assert np.abs(noise.reduced_initial_cov(u) - ud.T @ noise.dense_initial_cov(10) @ ud).max() < 1e-12
+        q, p0 = dense_cov(2.0, 0.5, 10), dense_cov(1.0, 5e-5, 10)
+        assert np.abs(noise.reduced_process_cov(u) - ud.T @ q @ ud).max() < 1e-12
+        assert np.abs(noise.reduced_initial_cov(u) - ud.T @ p0 @ ud).max() < 1e-12
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValidationError):

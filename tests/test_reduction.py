@@ -25,9 +25,7 @@ from pivotflow import (
     reduce_state,
     trajectory_distance,
 )
-from pivotflow.reduction import format_assignment, format_merge_log
-
-from conftest import hydrostatic_state
+from conftest import hydrostatic_state, simulate_reduced
 
 
 def reference_average_linkage(data, th_c):
@@ -90,9 +88,8 @@ class TestSnapshots:
         model = FullModel(small_grid, loam, substeps=2)
         x0 = np.full(small_grid.n_nodes, -8.0)
         inputs = [(SurfaceInput.idle(small_grid.n_r), StepForcing())] * 7
-        snaps = generate_snapshots(model, x0, inputs, 600.0, origin_step=3)
+        snaps = generate_snapshots(model, x0, inputs, 600.0)
         assert snaps.data.shape == (8, small_grid.n_nodes)
-        assert snaps.origin_step == 3
 
     def test_empty_window_rejected(self, small_model):
         with pytest.raises(ValidationError):
@@ -189,19 +186,6 @@ class TestClustering:
                 replayed[list(members[first])] = cid
             assert np.array_equal(replayed, c.assignment)
             assert len(members) == c.n_clusters
-
-    def test_merge_log_format(self):
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=(4, 6))
-        c = cluster_trajectories(SnapshotMatrix(data), np.inf, record_merges=True)
-        log = format_merge_log(c)
-        assert len(log.splitlines()) == 5
-        first = log.splitlines()[0].split()
-        assert len(first) == 3 and float(first[2]) >= 0
-
-    def test_assignment_export(self):
-        c = Clustering(np.array([0, 1, 0]), 2)
-        assert format_assignment(c) == "0 0\n1 1\n2 0"
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(12)
@@ -314,7 +298,7 @@ class TestReducedModel:
             for k in range(6)
         ]
         full = model.simulate(x0, inputs, 900.0)
-        red = reduced.simulate(reduce_state(u, x0), inputs, 900.0)
+        red = simulate_reduced(reduced, reduce_state(u, x0), inputs, 900.0)
         assert np.array_equal(full, (u @ red.T).T)  # bitwise under identity permutation
 
     def test_equilibrium_preserved(self, small_grid, loam):
@@ -342,6 +326,6 @@ class TestReducedModel:
         inputs = [(SurfaceInput.idle(grid.n_r), StepForcing(rain=1e-7))] * 4
         full = model.simulate(x0, inputs, 1800.0)
         assert np.ptp(full[-1]) == 0.0  # stays uniform
-        red = ReducedModel(model, u).simulate(reduce_state(u, x0), inputs, 1800.0)
+        red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 1800.0)
         lifted = (u @ red.T).T
         assert np.abs(lifted[-1] - full[-1]).max() < 1e-6 * abs(full[-1]).max()

@@ -15,6 +15,7 @@ from pivotflow import (
     StepForcing,
     SurfaceInput,
     UnstableStep,
+    ValidationError,
     VanGenuchtenParams,
     WaterBudget,
     hydraulic_conductivity,
@@ -299,12 +300,27 @@ class TestEnvironmentForcing:
         assert env.at(5).k_c == 0.5
 
     def test_negative_series_rejected(self):
-        import pytest as _pytest
+        # NaN and infinity fail like a negative rate, each in any of the series
+        for name in ("et", "k_c", "rain"):
+            for bad in (-1e-8, np.nan, np.inf):
+                series = dict(et=[1e-8, 1e-8], k_c=0.5, rain=0.0)
+                series[name] = [0.0, bad]
+                with pytest.raises(ValidationError, match=f"{name} series"):
+                    EnvironmentForcing(**series)
 
-        from pivotflow import ValidationError
 
-        with _pytest.raises(ValidationError):
-            EnvironmentForcing(et=-1e-8, k_c=0.0, rain=0.0)
+@pytest.mark.parametrize("bad", [-1e-8, np.nan, np.inf])
+class TestInputValidation:
+    """A NaN or infinite rate fails at construction instead of blowing up a later step."""
+
+    def test_surface_rates(self, bad):
+        with pytest.raises(ValidationError, match="u must be"):
+            SurfaceInput([bad, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["et", "k_c", "rain"])
+    def test_step_forcing(self, name, bad):
+        with pytest.raises(ValidationError, match=f"{name} must be"):
+            StepForcing(**{name: bad})
 
 
 # -- observation ------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .reduction import (
     trajectory_distance,
 )
 from .richards import (
-    EnvironmentForcing,
     FullModel,
     RootUptake,
     StepForcing,

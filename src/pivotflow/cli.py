@@ -28,13 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", parents=[common], help="run the configured (or overridden) scheme")
     run_p.add_argument("--scheme", choices=("performance", "static", "time-triggered"), default=None)
     run_p.add_argument("--outdir", type=Path, default=Path("out"), help="artifact directory")
-    run_p.add_argument("--wall-times", action="store_true",
-                       help="embed wall-clock timings in metrics.csv (breaks byte determinism)")
 
     cmp_p = sub.add_parser("compare", parents=[common], help="run all three schemes and a joined table")
     cmp_p.add_argument("--outdir", type=Path, default=Path("out"), help="artifact directory")
-    cmp_p.add_argument("--wall-times", action="store_true",
-                       help="embed wall-clock timings in metrics.csv (breaks byte determinism)")
 
     return parser
 
@@ -48,12 +44,11 @@ def main(argv=None) -> int:
             print(f"OK: {cfg.grid.n_r}x{cfg.grid.n_theta}x{cfg.grid.n_z} grid "
                   f"({cfg.n_x} nodes), {cfg.n_y} sensors, {cfg.steps} steps, scheme={cfg.scheme}")
             return 0
-        deterministic = not args.wall_times
         if args.command == "run":
             cfg = with_overrides(cfg, scheme=args.scheme)
             truth = run_truth(cfg)
             artifacts = run_scheme(cfg, truth)
-            files = export_artifacts(artifacts, args.outdir, deterministic_timings=deterministic)
+            files = export_artifacts(artifacts, args.outdir)
             print(f"scheme={artifacts.scheme} final %MAE={artifacts.percent_mae[-1]:.4f} "
                   f"model changes={len(artifacts.model_changes)}")
             for f in files:
@@ -62,8 +57,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             runs = run_compare(cfg)
             for scheme, artifacts in runs.items():
-                files = export_artifacts(artifacts, args.outdir / scheme,
-                                         deterministic_timings=deterministic)
+                files = export_artifacts(artifacts, args.outdir / scheme)
                 print(f"scheme={scheme} final %MAE={artifacts.percent_mae[-1]:.4f} "
                       f"model changes={len(artifacts.model_changes)}")
                 for f in files:

@@ -298,9 +298,7 @@ def _fires(scheme: str, k: int, trigger: TriggerState, period: int) -> bool:
         return trigger.last > trigger.th_e and slope_estimate(trigger) >= trigger.slope_limit
     if scheme == "static":
         return False
-    if scheme == "time-triggered":
-        return k % period == 0
-    raise ValidationError(f"scheme must be one of {SCHEMES}")
+    return k % period == 0  # time-triggered
 
 
 @dataclass
@@ -345,18 +343,25 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
     call; then walks its steps in order, recording e_L and testing the next
     step's trigger. Where the performance trigger fires, the rest of the
     block is discarded and the next block opens at that step, so every
-    result equals a one-step-at-a-time run. ``iter_seconds[k]`` is step k's
-    own filter and walk time plus, if step k has an e_L window, an equal
-    share of its block's e_L call; discarded look-ahead is charged to the
-    step that reopens the block, so the entries add up to the loop's wall
-    time.
+    result equals a one-step-at-a-time run.
+
+    Failures follow one rule. If filtering ahead or the e_L call raises a
+    ``PivotflowError``, the block's steps run again one at a time, as with a
+    look-ahead of 1, and a one-step block that fails raises the error
+    prefixed with ``step k:``. So a failure names the step a one-step-at-a-time
+    run would name, and a failure in look-ahead that the performance trigger
+    discards does not stop the run.
+
+    ``iter_seconds[k]`` is step k's own filter and walk time plus, if step k
+    has an e_L window, an equal share of its block's e_L call; discarded
+    look-ahead and failed blocks are charged to the step that reopens the
+    block, so the entries add up to the loop's wall time.
     """
     if cfg.scheme not in SCHEMES:
         raise ValidationError(f"scheme must be one of {SCHEMES}")
     model = cfg.estimator_model()
-    noise = cfg.noise_config()
     sensors = np.asarray(cfg.sensors, dtype=int)
-    r_cov = noise.measurement_cov(sensors.size)
+    r_cov = cfg.ekf.measurement_cov(sensors.size)
     ceiling = cfg.estimate_ceiling
     n = cfg.steps
     measurements = np.asarray(measurements, dtype=float)
@@ -368,8 +373,6 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
     trigger = TriggerState(th_e=cfg.th_e, slope_limit=cfg.slope_limit)
     x_hat = cfg.guess_state0()
     state = None
-    reduced = None
-    m = 0
     e_l = 0.0
 
     trace = EstimationTrace(
@@ -385,65 +388,62 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
     )
 
     k = 0
-    carry = 0.0  # seconds of discarded look-ahead, charged to the step that reopens the block
+    retry_end = 0  # a failed block's steps re-run one at a time, up to this step
+    carry = 0.0  # seconds of discarded or failed look-ahead, charged to the step that reopens the block
     clock = perf_counter()
     # layer functions are looked up in this module's globals: the benchmark's tracer patches them here
     while k < n:
-        # 1. filter ahead; the scheduled triggers (all but performance) are known in advance
+        width = 1 if k < retry_end else _LOOKAHEAD
         block, spent = [], []  # (fired, state, x_hat) and seconds per step
-        ahead, ahead_x = state, x_hat
-        for s in range(k, min(k + _LOOKAHEAD, n)):
-            if s > k and cfg.scheme != "performance" and _fires(cfg.scheme, s, trigger, cfg.period):
-                break
-            try:
+        try:
+            # 1. filter ahead; the scheduled triggers (all but performance) are known in advance
+            ahead, ahead_x = state, x_hat
+            for s in range(k, min(k + width, n)):
+                if s > k and cfg.scheme != "performance" and _fires(cfg.scheme, s, trigger, cfg.period):
+                    break
                 fired = s == k and _fires(cfg.scheme, s, trigger, cfg.period)
                 if fired:
-                    m += 1
-                    origin = max(s - 1, 0)
                     snapshots = generate_snapshots(
-                        model, ahead_x, cfg.estimator_inputs_window(origin, cfg.n_fd), cfg.delta_s,
+                        model, ahead_x, cfg.estimator_inputs_window(max(s - 1, 0), cfg.n_fd), cfg.delta_s,
                     )
                     projection = build_projection(cluster_trajectories(snapshots, cfg.th_c))
                     if ahead is None:
-                        ahead = initialize_filter(projection, ahead_x, noise, sensors, m)
+                        ahead = initialize_filter(projection, ahead_x, cfg.ekf, sensors)
                     else:
-                        ahead = transfer_model(ahead, projection, noise, sensors, m)
-                    reduced = ReducedModel(model, projection)
-                    trace.model_changes.append((s, m, ahead.order))
+                        ahead = transfer_model(ahead, projection, cfg.ekf, sensors, ahead.model_index + 1)
                 if s > 0:
                     surface, forcing = cfg.estimator_inputs(s - 1)
-                    ahead = ekf_predict(ahead, reduced, surface, forcing, cfg.delta_s)
+                    ahead = ekf_predict(ahead, ReducedModel(model, ahead.projection), surface, forcing,
+                                        cfg.delta_s)
                 ahead = ekf_update(ahead, measurements[s], r_cov)
                 if ceiling is not None:
                     ahead = clamp_estimate(ahead, ceiling)
                 ahead_x = reconstruct(ahead)
-            except PivotflowError as exc:
-                if s == k:
-                    raise type(exc)(f"step {s}: {exc}") from exc
-                break  # step s runs again as the first step of a later block
-            now = perf_counter()
-            block.append((fired, ahead, ahead_x))
-            spent.append(now - clock)
-            clock = now
+                now = perf_counter()
+                block.append((fired, ahead, ahead_x))
+                spent.append(now - clock)
+                clock = now
 
-        # 2. the e_L windows of the block, stepped on one shared input clock
-        offsets = [i for i, (fired, *_) in enumerate(block)
-                   if fired or cfg.stride <= 1 or (k + i) % cfg.stride == 0]
-        batched = {}
-        if offsets:
-            try:
-                gaps = compute_error_metric(
-                    model, reduced.projection, np.stack([block[i][2] for i in offsets]),
+            # 2. the e_L windows of the block, stepped on one shared input clock
+            offsets = [i for i, (fired, *_) in enumerate(block)
+                       if fired or cfg.stride <= 1 or (k + i) % cfg.stride == 0]
+            gaps = {}
+            if offsets:
+                gaps = dict(zip(offsets, compute_error_metric(
+                    model, ahead.projection, np.stack([block[i][2] for i in offsets]),
                     cfg.estimator_inputs_window(k, offsets[-1] + cfg.n_fd), cfg.delta_s,
                     offsets=offsets,
-                )
-                batched = dict(zip(offsets, gaps.tolist()))
-            except PivotflowError:
-                pass  # the walk runs the windows one at a time and names the failing step
-            now = perf_counter()
-            for i in offsets:
-                spent[i] += (now - clock) / len(offsets)
-            clock = now
+                ).tolist()))
+                now = perf_counter()
+                for i in offsets:
+                    spent[i] += (now - clock) / len(offsets)
+                clock = now
+        except PivotflowError as exc:
+            if width == 1:
+                raise type(exc)(f"step {k}: {exc}") from exc
+            carry += sum(spent)
+            retry_end = k + width
+            continue
 
         # 3. walk the block; a performance trigger inside it discards the rest
         walked = 0
@@ -451,18 +451,11 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
             s = k + i
             if i > 0 and _fires(cfg.scheme, s, trigger, cfg.period):
                 break
-            try:
-                if i in batched:
-                    e_l = batched[i]
-                elif i in offsets:
-                    e_l = compute_error_metric(
-                        model, ahead.projection, ahead_x,
-                        cfg.estimator_inputs_window(s, cfg.n_fd), cfg.delta_s,
-                    )
-                trigger.record(e_l)
-            except PivotflowError as exc:
-                raise type(exc)(f"step {s}: {exc}") from exc
             state, x_hat = ahead, ahead_x
+            e_l = gaps.get(i, e_l)
+            trigger.record(e_l)
+            if fired:
+                trace.model_changes.append((s, state.model_index, state.order))
 
             if diagnostics is not None:
                 diagnostics(s, state)

@@ -43,7 +43,6 @@ class Clustering:
 
     assignment: np.ndarray
     n_clusters: int
-    merges: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", np.asarray(self.assignment, dtype=int))
@@ -76,7 +75,7 @@ def trajectory_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float, record_merges: bool = False) -> Clustering:
+def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     """Agglomerative average-linkage clustering of node trajectories.
 
     Starts from singletons and merges the pair at minimum average-linkage
@@ -88,9 +87,7 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float, record_merges: 
     slot, first its node index, and a merged pair keeps the larger slot.
     The chain starts at the lowest live slot, steps to the lowest-slot
     nearest neighbour (staying with the previous chain element on a tie)
-    and merges the first mutual nearest pair it reaches. Each logged merge
-    is (smallest member of the absorbing cluster, smallest member of the
-    absorbed one, distance); the absorbing cluster holds the smaller node.
+    and merges the first mutual nearest pair it reaches.
     """
     # imported here: scipy.cluster/scipy.spatial add ~0.2 s and ~16 MB to `import pivotflow`
     from scipy.cluster.hierarchy import fcluster, linkage
@@ -110,17 +107,7 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float, record_merges: 
     _, first = np.unique(labels, return_index=True)
     ids = np.empty(labels.max() + 1, dtype=int)
     ids[labels[np.sort(first)]] = np.arange(first.size)
-
-    merges = []
-    if record_merges:
-        smallest = list(range(n))  # smallest member node of each linkage cluster id
-        for a, b, dist, _ in tree:
-            if not dist < th_c:
-                break
-            i, j = sorted((smallest[int(a)], smallest[int(b)]))
-            smallest.append(i)
-            merges.append((i, j, float(dist)))
-    return Clustering(ids[labels], first.size, tuple(merges))
+    return Clustering(ids[labels], first.size)
 
 
 def build_projection(clustering: Clustering) -> sp.csr_matrix:

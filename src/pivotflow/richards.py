@@ -62,23 +62,6 @@ class StepForcing:
                 raise ValidationError(f"{name} must be finite and nonnegative")
 
 
-class EnvironmentForcing:
-    """Piecewise-constant weather series; indexing past the end holds the last value."""
-
-    def __init__(self, et, k_c, rain):
-        self.et = np.atleast_1d(np.asarray(et, dtype=float))
-        self.k_c = np.atleast_1d(np.asarray(k_c, dtype=float))
-        self.rain = np.atleast_1d(np.asarray(rain, dtype=float))
-        for name in ("et", "k_c", "rain"):
-            arr = getattr(self, name)
-            if arr.size == 0 or not 0 <= arr.min() <= arr.max() < np.inf:
-                raise ValidationError(f"{name} series must be nonempty, finite and nonnegative")
-
-    def at(self, k: int) -> StepForcing:
-        pick = lambda a: float(a[min(k, a.size - 1)])
-        return StepForcing(et=pick(self.et), k_c=pick(self.k_c), rain=pick(self.rain))
-
-
 @dataclass(frozen=True)
 class RootUptake:
     """Root zone extent and the piecewise-linear water-stress heads [m]."""

@@ -3,9 +3,8 @@
 The truth twin simulates the (possibly parameter-shifted) field with
 seeded Gaussian process and measurement noise; schemes consume only the
 measurement stream. All artifact files are plain CSV with a fixed column
-order. Wall-clock timings are kept out of metrics.csv by default so that
-same-seed reruns are byte-identical; they are always written to the
-timings.csv sidecar.
+order. Wall-clock timings are kept out of metrics.csv so that same-seed
+reruns are byte-identical; they are written to the timings.csv sidecar.
 """
 
 from __future__ import annotations
@@ -114,12 +113,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def export_artifacts(artifacts: RunArtifacts, outdir, deterministic_timings: bool = True) -> list[Path]:
+def export_artifacts(artifacts: RunArtifacts, outdir) -> list[Path]:
     """Write metrics.csv, model_changes.csv, timings.csv, and state snapshots.
 
-    With deterministic_timings (the default) the iter_seconds column of
-    metrics.csv is left empty so that same-seed reruns are byte-identical;
-    the measured values always land in timings.csv.
+    The iter_seconds column of metrics.csv is left empty so that same-seed
+    reruns are byte-identical; the measured values land in timings.csv.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -140,7 +138,7 @@ def export_artifacts(artifacts: RunArtifacts, outdir, deterministic_timings: boo
                 int(artifacts.orders[k]),
                 int(artifacts.model_index[k]),
                 int(artifacts.trigger[k]),
-                "" if deterministic_timings else _fmt(artifacts.iter_seconds[k]),
+                "",
             ])
     written.append(metrics_path)
 

@@ -10,7 +10,6 @@ the end of a run stay defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import ParseError, ValidationError
 from .grid import CylindricalGrid
 from .richards import (
     BOTTOM_CONDITIONS,
-    EnvironmentForcing,
     FullModel,
     RootUptake,
     StepForcing,
@@ -30,13 +28,8 @@ from .richards import (
 from .soil import SoilField, VanGenuchtenParams
 
 
-def _series(value, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a scalar or a nonempty list")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
+def _series(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float))
 
 
 def _at(series: np.ndarray, k: int) -> float:
@@ -131,6 +124,19 @@ class ScenarioConfig:
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:
                 raise ValidationError("snapshot_steps must lie within [0, steps)")
+        for name, key, signed in (
+            ("irrigation_rate", "irrigation.rate", False),
+            ("et", "forcing.et", False),
+            ("k_c", "forcing.k_c", False),
+            ("rain", "forcing.rain", False),
+            ("forecast_irrigation_error", "forecast.irrigation_error", True),
+            ("forecast_rain_error", "forecast.rain_error", True),
+        ):
+            series = getattr(self, name)
+            if np.ndim(series) != 1 or np.size(series) == 0 or not np.all(np.isfinite(series)):
+                raise ValidationError(f"{key} must be a finite scalar or a nonempty list of finite values")
+            if not signed and np.min(series) < 0:
+                raise ValidationError(f"{key} must be nonnegative")
         return self
 
     # -- derived pieces -----------------------------------------------------
@@ -187,29 +193,21 @@ class ScenarioConfig:
     def guess_state0(self) -> np.ndarray:
         return self._expand_quadrants(self.initial_guess)
 
-    def noise_config(self) -> NoiseConfig:
-        return self.ekf
-
     def active_sector(self, k: int) -> int:
         return (self.irrigation_start_sector + k) % self.grid.n_theta
-
-    @cached_property
-    def environment(self) -> EnvironmentForcing:
-        return EnvironmentForcing(et=self.et, k_c=self.k_c, rain=self.rain)
 
     def truth_inputs(self, k: int) -> tuple[SurfaceInput, StepForcing]:
         surface = SurfaceInput(
             np.full(self.grid.n_r, _at(self.irrigation_rate, k)), self.active_sector(k)
         )
-        return surface, self.environment.at(k)
+        return surface, StepForcing(et=_at(self.et, k), k_c=_at(self.k_c, k), rain=_at(self.rain, k))
 
     def estimator_inputs(self, k: int) -> tuple[SurfaceInput, StepForcing]:
         """Scheduled inputs as the estimator sees them (forecast error applied)."""
         rate = max(0.0, _at(self.irrigation_rate, k) + _at(self.forecast_irrigation_error, k))
         surface = SurfaceInput(np.full(self.grid.n_r, rate), self.active_sector(k))
-        forcing = self.environment.at(k)
-        rain = max(0.0, forcing.rain + _at(self.forecast_rain_error, k))
-        return surface, StepForcing(et=forcing.et, k_c=forcing.k_c, rain=rain)
+        rain = max(0.0, _at(self.rain, k) + _at(self.forecast_rain_error, k))
+        return surface, StepForcing(et=_at(self.et, k), k_c=_at(self.k_c, k), rain=rain)
 
     def estimator_inputs_window(self, start: int, count: int) -> list:
         return [self.estimator_inputs(start + j) for j in range(count)]
@@ -323,7 +321,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         irr = data["irrigation"]
         _check_keys(irr, ("rate", "start_sector"), "irrigation")
         if "rate" in irr:
-            kwargs["irrigation_rate"] = _series(irr["rate"], "irrigation.rate")
+            kwargs["irrigation_rate"] = _series(irr["rate"])
         if "start_sector" in irr:
             kwargs["irrigation_start_sector"] = int(irr["start_sector"])
     if "forcing" in data:
@@ -331,14 +329,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         _check_keys(forcing, ("et", "k_c", "rain"), "forcing")
         for key in ("et", "k_c", "rain"):
             if key in forcing:
-                kwargs[key] = _series(forcing[key], f"forcing.{key}")
+                kwargs[key] = _series(forcing[key])
     if "forecast" in data:
         fc = data["forecast"]
         _check_keys(fc, ("irrigation_error", "rain_error"), "forecast")
         if "irrigation_error" in fc:
-            kwargs["forecast_irrigation_error"] = _series(fc["irrigation_error"], "forecast.irrigation_error")
+            kwargs["forecast_irrigation_error"] = _series(fc["irrigation_error"])
         if "rain_error" in fc:
-            kwargs["forecast_rain_error"] = _series(fc["rain_error"], "forecast.rain_error")
+            kwargs["forecast_rain_error"] = _series(fc["rain_error"])
     if "truth_shift" in data and data["truth_shift"] is not None:
         shift = data["truth_shift"]
         _check_keys(shift, ("step", "zones"), "truth_shift")
@@ -346,13 +344,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         kwargs["shift_zones"] = _zones(_require(shift, "zones", "truth_shift"), "truth_shift.zones")
     if "snapshot_steps" in data:
         kwargs["snapshot_steps"] = tuple(int(v) for v in data["snapshot_steps"])
-    for name in ("et", "k_c", "rain"):
-        arr = kwargs.get(name)
-        if arr is not None and arr.min() < 0:
-            raise ValidationError(f"forcing.{name} must be nonnegative")
-    rate = kwargs.get("irrigation_rate")
-    if rate is not None and rate.min() < 0:
-        raise ValidationError("irrigation.rate must be nonnegative")
     return ScenarioConfig(**kwargs).validate()
 
 

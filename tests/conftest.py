@@ -37,6 +37,30 @@ def dense_cov(diag, offdiag, n):
     return (diag - offdiag) * np.eye(n) + offdiag * np.ones((n, n))
 
 
+def merge_log(data, th_c):
+    """The merges below th_c of the average linkage that cluster_trajectories cuts.
+
+    Each entry is (smallest member of the absorbing cluster, smallest member
+    of the absorbed one, distance); the absorbing cluster holds the smaller
+    node. ``data`` is (time, nodes), as in a SnapshotMatrix.
+    """
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
+
+    data = np.asarray(data, dtype=float)
+    if data.shape[1] < 2:
+        return ()
+    smallest = list(range(data.shape[1]))  # smallest member node of each linkage cluster id
+    merges = []
+    for a, b, dist, _ in linkage(pdist(data.T), method="average"):
+        if not dist < th_c:
+            break
+        i, j = sorted((smallest[int(a)], smallest[int(b)]))
+        smallest.append(i)
+        merges.append((i, j, float(dist)))
+    return tuple(merges)
+
+
 def simulate_reduced(reduced, xi0, inputs, dt):
     """Chain single-state reduced steps over (surface, forcing) pairs; (len(inputs)+1, r) states."""
     out = np.empty((len(inputs) + 1, reduced.order))

@@ -321,9 +321,9 @@ def test_criterion_7_relative_cost():
     # full-order EKF on the same fixture: identity projection, same stepper
     model = cfg.estimator_model()
     u = build_projection(Clustering.singletons(grid.n_nodes))
-    state = initialize_filter(u, cfg.guess_state0(), cfg.noise_config(), sensors)
+    state = initialize_filter(u, cfg.guess_state0(), cfg.ekf, sensors)
     reduced = ReducedModel(model, u)
-    r_cov = cfg.noise_config().measurement_cov(len(sensors))
+    r_cov = cfg.ekf.measurement_cov(len(sensors))
     times = []
     for k in range(4):
         tic = time.perf_counter()

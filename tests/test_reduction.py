@@ -25,7 +25,7 @@ from pivotflow import (
     reduce_state,
     trajectory_distance,
 )
-from conftest import hydrostatic_state, simulate_reduced
+from conftest import hydrostatic_state, merge_log, simulate_reduced
 
 
 def reference_average_linkage(data, th_c):
@@ -169,17 +169,18 @@ class TestClustering:
         rng = np.random.default_rng(9)
         data = rng.normal(size=(5, 20))
         for th_c in (5.0, 2.5):  # one cluster; six clusters
-            c = cluster_trajectories(SnapshotMatrix(data), th_c, record_merges=True)
+            c = cluster_trajectories(SnapshotMatrix(data), th_c)
+            merges = merge_log(data, th_c)
             # replay the merge sequence, checking the partition stays a partition
             members = {i: {i} for i in range(20)}
-            for i, j, dist in c.merges:
+            for i, j, dist in merges:
                 assert 0 <= dist < th_c
                 assert i < j and i == min(members[i]) and j == min(members[j])
                 assert members[i].isdisjoint(members[j])
                 members[i] |= members.pop(j)
             covered = set().union(*members.values())
             assert covered == set(range(20))
-            dists = [dist for _, _, dist in c.merges]
+            dists = [dist for _, _, dist in merges]
             assert dists == sorted(dists)
             replayed = np.empty(20, dtype=int)
             for cid, first in enumerate(sorted(members)):
@@ -207,10 +208,10 @@ class TestClustering:
             ([[0.0, 1.0]], np.nextafter(1.0, 2.0), [0, 0]),
             ([[0.0, 1.0]], 2.0, [0, 0]),
         ):
-            c = cluster_trajectories(SnapshotMatrix(data), th_c, record_merges=True)
+            c = cluster_trajectories(SnapshotMatrix(data), th_c)
             assert np.array_equal(c.assignment, expected)
             assert c.n_clusters == max(expected) + 1
-            assert c.merges == (((0, 1, 1.0),) if c.n_clusters == 1 and len(expected) == 2 else ())
+            assert merge_log(data, th_c) == (((0, 1, 1.0),) if c.n_clusters == 1 and len(expected) == 2 else ())
 
     def test_exact_ties_follow_nn_chain_order(self):
         # After nodes 0 and 3 merge at 0, node 1 is 1.0 from both {0, 3} and
@@ -218,9 +219,9 @@ class TestClustering:
         # {0, 3}; NN-chain grows from slot 1 and takes its lowest-slot nearest
         # neighbour, node 2. Both partitions are valid average linkages.
         data = np.array([[0.0, 1.0, 2.0, 0.0]])
-        c = cluster_trajectories(SnapshotMatrix(data), 1.01, record_merges=True)
+        c = cluster_trajectories(SnapshotMatrix(data), 1.01)
         assert np.array_equal(c.assignment, [0, 1, 1, 0])
-        assert c.merges == ((0, 3, 0.0), (1, 2, 1.0))
+        assert merge_log(data, 1.01) == ((0, 3, 0.0), (1, 2, 1.0))
         assert np.array_equal(reference_average_linkage(data, 1.01)[0], [0, 0, 1, 0])
 
 

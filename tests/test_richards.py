@@ -1,11 +1,12 @@
 """Dynamics, boundary-condition, and water-balance tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pivotflow import (
     BadSensorIndex,
-    EnvironmentForcing,
     CylindricalGrid,
     DimensionMismatch,
     FullModel,
@@ -23,7 +24,7 @@ from pivotflow import (
     sink_term,
     water_content,
 )
-from pivotflow.scenario import default_sensor_layers, sensor_lattice
+from pivotflow.scenario import config_from_dict, default_sensor_layers, sensor_lattice
 
 from conftest import hydrostatic_state
 
@@ -292,21 +293,32 @@ class TestStep:
 
 
 class TestEnvironmentForcing:
+    """The scenario's et, k_c and rain series become each step's StepForcing."""
+
+    CONFIG = {
+        "grid": {"n_r": 4, "n_theta": 4, "n_z": 3, "radius": 2.0, "depth": 0.3},
+        "soil": {"zones": [{"alpha": 3.6, "n_vg": 1.56, "theta_r": 0.078, "theta_s": 0.43, "k_s": 2.9e-6}]},
+        "initial_truth": [-12.0],
+        "initial_guess": [-9.0],
+        "sensors": [0, 5, 17],
+        "steps": 10,
+    }
+
     def test_series_hold_last(self):
-        env = EnvironmentForcing(et=[1e-8, 2e-8], k_c=0.5, rain=[0.0, 1e-8, 3e-8])
-        assert env.at(0).et == 1e-8
-        assert env.at(5).et == 2e-8
-        assert env.at(5).rain == 3e-8
-        assert env.at(5).k_c == 0.5
+        cfg = config_from_dict(dict(self.CONFIG, forcing={"et": [1e-8, 2e-8], "k_c": 0.5, "rain": [0.0, 1e-8, 3e-8]}))
+        assert cfg.truth_inputs(0)[1].et == 1e-8
+        assert cfg.truth_inputs(5)[1].et == 2e-8
+        assert cfg.truth_inputs(5)[1].rain == 3e-8
+        assert cfg.truth_inputs(5)[1].k_c == 0.5
 
     def test_negative_series_rejected(self):
-        # NaN and infinity fail like a negative rate, each in any of the series
+        # NaN and infinity fail like a negative rate, each in any of the series,
+        # also in a config built in code rather than loaded
+        cfg = config_from_dict(self.CONFIG)
         for name in ("et", "k_c", "rain"):
             for bad in (-1e-8, np.nan, np.inf):
-                series = dict(et=[1e-8, 1e-8], k_c=0.5, rain=0.0)
-                series[name] = [0.0, bad]
-                with pytest.raises(ValidationError, match=f"{name} series"):
-                    EnvironmentForcing(**series)
+                with pytest.raises(ValidationError, match=f"forcing.{name} must be"):
+                    replace(cfg, **{name: np.array([0.0, bad])}).validate()
 
 
 @pytest.mark.parametrize("bad", [-1e-8, np.nan, np.inf])

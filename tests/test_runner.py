@@ -12,6 +12,8 @@ from pivotflow import (
     NonFiniteState,
     PivotflowError,
     RunArtifacts,
+    SingularInnovation,
+    UnstableStep,
     export_artifacts,
     export_comparison,
     percent_mae,
@@ -218,11 +220,6 @@ class TestExport:
         assert timings[0] == "step,iter_seconds"
         assert timings[1] == "0,0.5"
 
-    def test_wall_times_opt_in(self, tmp_path):
-        export_artifacts(self._artifacts(), tmp_path, deterministic_timings=False)
-        row = (tmp_path / "metrics.csv").read_text().splitlines()[1]
-        assert row.endswith("0.5")
-
     def test_rerun_same_artifacts_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         export_artifacts(self._artifacts(), a)
@@ -310,6 +307,66 @@ class TestLookahead:
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
         assert errors[0] == (NonFiniteState, f"step {failing}: measurement contains non-finite entries")
+
+    @pytest.mark.parametrize("stride, failing", [(1, 8), (3, 9)])
+    def test_error_metric_failure_names_the_same_step(self, stride, failing, monkeypatch):
+        # The full model raises on tick 10's inputs. The first step to reach
+        # that tick is the e_L window of step `failing` (n_fd 3); the filter
+        # reaches it only at step 11, where a look-ahead block meets it first.
+        rates = [5e-8] * 10 + [6e-8, 5e-8]
+        cfg = config_from_dict(dict(TINY, steps=16, stride=stride, irrigation={"rate": rates}))
+        measurements = run_truth(cfg).measurements
+        step = FullModel.step
+
+        def raises_on_tick_10(model, x, surface, forcing, dt):
+            if surface.u[0] == 6e-8:
+                raise UnstableStep("state diverged on tick 10")
+            return step(model, x, surface, forcing, dt)
+
+        monkeypatch.setattr(FullModel, "step", raises_on_tick_10)
+        errors = []
+        for lookahead in (1, ekf._LOOKAHEAD):
+            with pytest.raises(PivotflowError) as caught:
+                self._estimate(monkeypatch, lookahead, cfg, measurements)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert errors[0] == (UnstableStep, f"step {failing}: state diverged on tick 10")
+
+    def test_discarded_look_ahead_failure_does_not_stop_the_run(self, monkeypatch):
+        # Step 12 re-identifies. The update of step 14 fails under model 1,
+        # which only a look-ahead block reaches; a one-step-at-a-time run
+        # filters step 14 under model 2.
+        readings = []
+
+        def clock():
+            readings.append(time.perf_counter())
+            return readings[-1]
+
+        cfg = config_from_dict(dict(TINY, steps=24, th_e=0.14, slope_limit=0.02))
+        truth = run_truth(cfg)
+        update = ekf.ekf_update
+        raised = []
+
+        def fails_on_model_1_at_step_14(state, y, r_cov):
+            if state.model_index == 1 and np.array_equal(y, truth.measurements[14]):
+                raised[-1] += 1
+                raise SingularInnovation("innovation covariance is not positive definite")
+            return update(state, y, r_cov)
+
+        monkeypatch.setattr(ekf, "ekf_update", fails_on_model_1_at_step_14)
+        monkeypatch.setattr(ekf, "perf_counter", clock)
+        runs = []
+        for lookahead in (1, ekf._LOOKAHEAD):
+            readings.clear()
+            raised.append(0)
+            runs.append(self._estimate(monkeypatch, lookahead, cfg, truth.measurements, truth=truth.states))
+            assert [c[0] for c in runs[-1].model_changes] == [0, 12]
+            assert np.all(runs[-1].iter_seconds >= 0)
+            assert runs[-1].iter_seconds.sum() == pytest.approx(readings[-1] - readings[0], rel=1e-9)
+        assert raised == [0, 1]
+        for name in self.ARRAYS:
+            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
+        assert runs[1].model_changes == runs[0].model_changes
 
     def test_iter_seconds_add_up_to_loop_wall_time(self, monkeypatch):
         readings = []

@@ -1,5 +1,7 @@
 """Scenario schema, validation, and schedule tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -80,10 +82,13 @@ def test_quadrant_fields_expand():
 
 
 def test_forcing_series_hold_last_value():
-    cfg = config_from_dict(dict(MINIMAL, forcing={"et": [1e-8, 2e-8], "k_c": 0.5, "rain": 0.0}))
+    cfg = config_from_dict(dict(MINIMAL, forcing={"et": [1e-8, 2e-8], "k_c": 0.5, "rain": [0.0, 1e-8, 3e-8]}))
     assert cfg.truth_inputs(0)[1].et == 1e-8
     assert cfg.truth_inputs(1)[1].et == 2e-8
     assert cfg.truth_inputs(99)[1].et == 2e-8
+    assert cfg.truth_inputs(5)[1].rain == 3e-8
+    assert cfg.truth_inputs(5)[1].k_c == 0.5
+    assert cfg.estimator_inputs(5)[1] == cfg.truth_inputs(5)[1]
 
 
 def test_pivot_sector_rotates():
@@ -115,6 +120,22 @@ def test_negative_rates_rejected():
         config_from_dict(dict(MINIMAL, irrigation={"rate": -1.0}))
     with pytest.raises(ValidationError, match="rain"):
         config_from_dict(dict(MINIMAL, forcing={"rain": -1e-9}))
+    # NaN and infinity fail like a negative rate, in each series
+    for section, key in (("irrigation", "rate"), ("forcing", "et"), ("forcing", "k_c"), ("forcing", "rain")):
+        for bad in (-1e-8, np.nan, np.inf):
+            with pytest.raises(ValidationError, match=f"{section}.{key} must be"):
+                config_from_dict(dict(MINIMAL, **{section: {key: [0.0, bad]}}))
+    # forecast errors may be negative but not non-finite
+    config_from_dict(dict(MINIMAL, forecast={"irrigation_error": -1e-8, "rain_error": -1e-8}))
+    for key in ("irrigation_error", "rain_error"):
+        for bad in (np.nan, np.inf, []):
+            with pytest.raises(ValidationError, match=f"forecast.{key} must be"):
+                config_from_dict(dict(MINIMAL, forecast={key: bad}))
+    # a config built in code is checked by validate(), not only at load
+    cfg = config_from_dict(MINIMAL)
+    for name, key in (("et", "forcing.et"), ("irrigation_rate", "irrigation.rate")):
+        with pytest.raises(ValidationError, match=f"{key} must be nonnegative"):
+            replace(cfg, **{name: np.array([-1e-8])}).validate()
 
 
 def test_load_config_yaml_and_json(tmp_path):

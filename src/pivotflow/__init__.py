@@ -44,7 +44,6 @@ from .reduction import (
     generate_snapshots,
     lift_state,
     reduce_state,
-    trajectory_distance,
 )
 from .richards import (
     FullModel,
@@ -56,7 +55,6 @@ from .richards import (
     sink_term,
 )
 from .runner import (
-    RunArtifacts,
     TruthRun,
     export_artifacts,
     export_comparison,

@@ -6,6 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .ekf import SCHEMES
 from .errors import PivotflowError
 from .runner import export_artifacts, export_comparison, run_compare, run_scheme, run_truth
 from .scenario import load_config, with_overrides
@@ -26,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", parents=[common], help="parse and validate a scenario file")
 
     run_p = sub.add_parser("run", parents=[common], help="run the configured (or overridden) scheme")
-    run_p.add_argument("--scheme", choices=("performance", "static", "time-triggered"), default=None)
+    run_p.add_argument("--scheme", choices=SCHEMES, default=None)
     run_p.add_argument("--outdir", type=Path, default=Path("out"), help="artifact directory")
 
     cmp_p = sub.add_parser("compare", parents=[common], help="run all three schemes and a joined table")
@@ -46,32 +47,24 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run":
             cfg = with_overrides(cfg, scheme=args.scheme)
-            truth = run_truth(cfg)
-            artifacts = run_scheme(cfg, truth)
-            files = export_artifacts(artifacts, args.outdir)
-            print(f"scheme={artifacts.scheme} final %MAE={artifacts.percent_mae[-1]:.4f} "
-                  f"model changes={len(artifacts.model_changes)}")
+            runs = {args.outdir: run_scheme(cfg, run_truth(cfg))}
+        else:  # compare: one directory per scheme, then the joined table
+            runs = {args.outdir / scheme: art for scheme, art in run_compare(cfg).items()}
+        for outdir, art in runs.items():
+            files = export_artifacts(art, outdir)
+            print(f"scheme={art.scheme} final %MAE={art.percent_mae[-1]:.4f} "
+                  f"model changes={len(art.model_changes)}")
             for f in files:
                 print(f"wrote {f}")
-            return 0
         if args.command == "compare":
-            runs = run_compare(cfg)
-            for scheme, artifacts in runs.items():
-                files = export_artifacts(artifacts, args.outdir / scheme)
-                print(f"scheme={scheme} final %MAE={artifacts.percent_mae[-1]:.4f} "
-                      f"model changes={len(artifacts.model_changes)}")
-                for f in files:
-                    print(f"wrote {f}")
-            table = export_comparison(runs, args.outdir)
-            print(f"wrote {table}")
-            return 0
+            print(f"wrote {export_comparison({art.scheme: art for art in runs.values()}, args.outdir)}")
+        return 0
     except PivotflowError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

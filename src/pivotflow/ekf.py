@@ -27,6 +27,7 @@ from .errors import (
     SingularInnovation,
     ValidationError,
 )
+from .grid import CylindricalGrid
 from .reduction import (
     ReducedModel,
     build_projection,
@@ -303,9 +304,15 @@ def _fires(scheme: str, k: int, trigger: TriggerState, period: int) -> bool:
 
 @dataclass
 class EstimationTrace:
-    """Per-step record of one adaptive-estimation run."""
+    """Record of one adaptive-estimation run: per-step arrays on one step axis.
 
-    estimates: np.ndarray
+    Full-grid estimates are kept only at ``cfg.snapshot_steps``, in
+    ``snapshots`` (step -> (truth row or None, estimate)).
+    """
+
+    scheme: str
+    grid: CylindricalGrid
+    delta_s: float
     e_l: np.ndarray
     edot_l: np.ndarray
     orders: np.ndarray
@@ -313,6 +320,7 @@ class EstimationTrace:
     trigger: np.ndarray
     iter_seconds: np.ndarray
     model_changes: list
+    snapshots: dict
     percent_mae: np.ndarray | None = None
 
 
@@ -334,8 +342,8 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
     Each step: re-identify if the scheme's trigger fires, predict, update with
     the measurement, reconstruct the full-grid estimate, then evaluate the
     prediction-error metric and its filtered slope. ``truth``, when given, is
-    only used to record the per-step estimation error; ``diagnostics(k, state)``
-    is called after every update.
+    only used to record the per-step estimation error and the snapshot truth
+    rows; ``diagnostics(k, state)`` is called after every update.
 
     The steps run in blocks of up to ``_LOOKAHEAD``. A block filters ahead
     under the model of its first step, stopping before a step whose trigger
@@ -376,7 +384,9 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
     e_l = 0.0
 
     trace = EstimationTrace(
-        estimates=np.empty((n, model.n_states)),
+        scheme=cfg.scheme,
+        grid=cfg.grid,
+        delta_s=cfg.delta_s,
         e_l=np.empty(n),
         edot_l=np.empty(n),
         orders=np.empty(n, dtype=int),
@@ -384,6 +394,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
         trigger=np.zeros(n, dtype=bool),
         iter_seconds=np.empty(n),
         model_changes=[],
+        snapshots={},
         percent_mae=None if truth is None else np.empty(n),
     )
 
@@ -459,7 +470,8 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
 
             if diagnostics is not None:
                 diagnostics(s, state)
-            trace.estimates[s] = x_hat
+            if s in cfg.snapshot_steps:
+                trace.snapshots[s] = (None if truth is None else np.array(truth[s]), x_hat)
             trace.e_l[s] = e_l
             trace.edot_l[s] = slope_estimate(trigger)
             trace.orders[s] = state.order

@@ -66,15 +66,6 @@ def generate_snapshots(model: FullModel, x0, inputs, dt: float) -> SnapshotMatri
     return SnapshotMatrix(model.simulate(x0, inputs, dt))
 
 
-def trajectory_distance(a, b) -> float:
-    """Euclidean distance between two node trajectories."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch("trajectories must have equal length")
-    return float(np.linalg.norm(a - b))
-
-
 def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     """Agglomerative average-linkage clustering of node trajectories.
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ekf import run_adaptive_estimation
-from .grid import CylindricalGrid
+from .ekf import SCHEMES, EstimationTrace, run_adaptive_estimation
 from .richards import observe
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, with_overrides
 
 METRICS_COLUMNS = (
     "step", "time_s", "percent_mae", "e_L", "edot_L", "r_m", "model_index", "trigger", "iter_seconds",
@@ -32,24 +31,6 @@ class TruthRun:
 
     states: np.ndarray        # (steps + 1, n_x)
     measurements: np.ndarray  # (steps, n_y)
-
-
-@dataclass
-class RunArtifacts:
-    """Everything one scheme run produces, on a shared step axis."""
-
-    scheme: str
-    grid: CylindricalGrid
-    delta_s: float
-    percent_mae: np.ndarray
-    e_l: np.ndarray
-    edot_l: np.ndarray
-    orders: np.ndarray
-    model_index: np.ndarray
-    trigger: np.ndarray
-    iter_seconds: np.ndarray
-    model_changes: list
-    snapshots: dict  # step -> (h_true, h_est)
 
 
 def run_truth(cfg: ScenarioConfig) -> TruthRun:
@@ -74,33 +55,16 @@ def run_truth(cfg: ScenarioConfig) -> TruthRun:
     return TruthRun(states, measurements)
 
 
-def run_scheme(cfg: ScenarioConfig, truth: TruthRun, scheme: str | None = None) -> RunArtifacts:
+def run_scheme(cfg: ScenarioConfig, truth: TruthRun, scheme: str | None = None) -> EstimationTrace:
     """Run one estimation scheme against a prepared truth twin."""
-    run_cfg = replace(cfg, scheme=scheme).validate() if scheme is not None else cfg
-    trace = run_adaptive_estimation(run_cfg, truth.measurements, truth=truth.states)
-    snapshots = {
-        s: (truth.states[s].copy(), trace.estimates[s].copy()) for s in run_cfg.snapshot_steps
-    }
-    return RunArtifacts(
-        scheme=run_cfg.scheme,
-        grid=run_cfg.grid,
-        delta_s=run_cfg.delta_s,
-        percent_mae=trace.percent_mae,
-        e_l=trace.e_l,
-        edot_l=trace.edot_l,
-        orders=trace.orders,
-        model_index=trace.model_index,
-        trigger=trace.trigger,
-        iter_seconds=trace.iter_seconds,
-        model_changes=trace.model_changes,
-        snapshots=snapshots,
-    )
+    run_cfg = with_overrides(cfg, scheme=scheme)
+    return run_adaptive_estimation(run_cfg, truth.measurements, truth=truth.states)
 
 
-def run_compare(cfg: ScenarioConfig) -> dict[str, RunArtifacts]:
+def run_compare(cfg: ScenarioConfig) -> dict[str, EstimationTrace]:
     """Run all three schemes against one shared truth realization."""
     truth = run_truth(cfg)
-    return {s: run_scheme(cfg, truth, scheme=s) for s in ("performance", "static", "time-triggered")}
+    return {s: run_scheme(cfg, truth, scheme=s) for s in SCHEMES}
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -113,7 +77,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def export_artifacts(artifacts: RunArtifacts, outdir) -> list[Path]:
+def export_artifacts(artifacts: EstimationTrace, outdir) -> list[Path]:
     """Write metrics.csv, model_changes.csv, timings.csv, and state snapshots.
 
     The iter_seconds column of metrics.csv is left empty so that same-seed
@@ -161,19 +125,20 @@ def export_artifacts(artifacts: RunArtifacts, outdir) -> list[Path]:
     r, theta, z = artifacts.grid.node_coordinates()
     for step, (h_true, h_est) in sorted(artifacts.snapshots.items()):
         snap_path = outdir / f"state_snapshot_{step}.csv"
+        known = h_true is not None  # a run without truth leaves h_true and abs_err blank
         with snap_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("node", "r", "theta", "z", "h_true", "h_est", "abs_err"))
             for i in range(artifacts.grid.n_nodes):
                 writer.writerow((
-                    i, _fmt(r[i]), _fmt(theta[i]), _fmt(z[i]),
-                    _fmt(h_true[i]), _fmt(h_est[i]), _fmt(abs(h_est[i] - h_true[i])),
+                    i, _fmt(r[i]), _fmt(theta[i]), _fmt(z[i]), _fmt(h_true[i]) if known else "",
+                    _fmt(h_est[i]), _fmt(abs(h_est[i] - h_true[i])) if known else "",
                 ))
         written.append(snap_path)
     return written
 
 
-def export_comparison(runs: dict[str, RunArtifacts], outdir) -> Path:
+def export_comparison(runs: dict[str, EstimationTrace], outdir) -> Path:
     """Joined per-step table of the headline metrics across schemes."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -124,18 +124,13 @@ class ScenarioConfig:
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:
                 raise ValidationError("snapshot_steps must lie within [0, steps)")
-        for name, key, signed in (
-            ("irrigation_rate", "irrigation.rate", False),
-            ("et", "forcing.et", False),
-            ("k_c", "forcing.k_c", False),
-            ("rain", "forcing.rain", False),
-            ("forecast_irrigation_error", "forecast.irrigation_error", True),
-            ("forecast_rain_error", "forecast.rain_error", True),
-        ):
+        for key, (name, cast, *_) in _KEYS.items():
+            if cast is not _series:
+                continue
             series = getattr(self, name)
             if np.ndim(series) != 1 or np.size(series) == 0 or not np.all(np.isfinite(series)):
                 raise ValidationError(f"{key} must be a finite scalar or a nonempty list of finite values")
-            if not signed and np.min(series) < 0:
+            if not key.startswith("forecast.") and np.min(series) < 0:  # forecast errors may be negative
                 raise ValidationError(f"{key} must be nonnegative")
         return self
 
@@ -153,13 +148,15 @@ class ScenarioConfig:
     def period(self) -> int:
         return self.trigger_period if self.trigger_period > 0 else self.n_fd
 
-    def _zone_of_node(self) -> np.ndarray:
-        if len(self.soil_zones) == 1:
-            return np.zeros(self.grid.n_nodes, dtype=int)
-        return self.grid.quadrant_of_node()
+    def _per_node(self, values: np.ndarray) -> np.ndarray:
+        """Each node's entry of ``values``: 1 entry covers every node, 4 are per azimuthal quadrant."""
+        if len(values) == 1:
+            return values[np.zeros(self.grid.n_nodes, dtype=int)]
+        return values[self.grid.quadrant_of_node()]
 
     def soil_field(self, zones=None) -> SoilField:
-        return SoilField.from_zones(self._zone_of_node(), list(zones or self.soil_zones))
+        zones = list(zones or self.soil_zones)
+        return SoilField.from_zones(self._per_node(np.arange(len(zones))), zones)
 
     def _model(self, zones=None) -> FullModel:
         return FullModel(
@@ -181,17 +178,11 @@ class ScenarioConfig:
         post = self._model(self.shift_zones) if self.shift_zones is not None else pre
         return pre, post
 
-    def _expand_quadrants(self, values) -> np.ndarray:
-        vals = np.asarray(values, dtype=float)
-        if vals.size == 1:
-            return np.full(self.grid.n_nodes, vals[0])
-        return vals[self.grid.quadrant_of_node()]
-
     def truth_state0(self) -> np.ndarray:
-        return self._expand_quadrants(self.initial_truth)
+        return self._per_node(np.asarray(self.initial_truth, dtype=float))
 
     def guess_state0(self) -> np.ndarray:
-        return self._expand_quadrants(self.initial_guess)
+        return self._per_node(np.asarray(self.initial_guess, dtype=float))
 
     def active_sector(self, k: int) -> int:
         return (self.irrigation_start_sector + k) % self.grid.n_theta
@@ -232,119 +223,127 @@ def default_sensor_layers(grid: CylindricalGrid, root_depth: float) -> tuple[int
 
 # -- file loading -------------------------------------------------------------
 
-def _require(data: dict, key: str, context: str = ""):
-    if key not in data:
-        name = f"{context}.{key}" if context else key
-        raise ValidationError(f"missing required key: {name}")
-    return data[key]
+def _int(value) -> int:
+    """int(value), except that a float with a fractional part is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
-def _check_keys(data: dict, allowed, context: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValidationError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+def _ints(values) -> tuple:
+    return tuple(_int(v) for v in values)
 
 
-def _zones(entries, context: str) -> tuple:
-    if not isinstance(entries, list) or not entries:
-        raise ValidationError(f"{context} must be a nonempty list of parameter mappings")
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in np.atleast_1d(values))
+
+
+def _zones(entries) -> tuple:
+    if not isinstance(entries, list) or not entries or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("must be a nonempty list of parameter mappings")
     zones = []
     for i, entry in enumerate(entries):
-        _check_keys(entry, ("alpha", "n_vg", "theta_r", "theta_s", "k_s"), f"{context}[{i}]")
         try:
             zones.append(VanGenuchtenParams(**{k: float(v) for k, v in entry.items()}))
-        except (TypeError, ValidationError) as exc:
-            raise ValidationError(f"{context}[{i}]: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {i}: {exc}") from exc
     return tuple(zones)
+
+
+# Every scenario key, as "key" or "section.key", with the ScenarioConfig field
+# it loads into and the cast that reads it; a third item True marks a required
+# key. A section's own row either builds one field from its keys (grid, roots
+# and ekf, whose keys name the constructor's arguments) or, with no cast, lets
+# each key load into its own field. A null section counts as absent.
+_KEYS = {
+    "grid": ("grid", CylindricalGrid, True),
+    "grid.n_r": ("n_r", _int, True),
+    "grid.n_theta": ("n_theta", _int, True),
+    "grid.n_z": ("n_z", _int, True),
+    "grid.radius": ("radius", float, True),
+    "grid.depth": ("depth", float, True),
+    "soil": (None, None, True),
+    "soil.zones": ("soil_zones", _zones, True),
+    "truth_shift": (None, None),
+    "truth_shift.step": ("shift_step", _int, True),
+    "truth_shift.zones": ("shift_zones", _zones, True),
+    "initial_truth": ("initial_truth", _floats, True),
+    "initial_guess": ("initial_guess", _floats, True),
+    "sensors": ("sensors", _ints, True),
+    "steps": ("steps", _int, True),
+    "delta_s": ("delta_s", float),
+    "n_fd": ("n_fd", _int),
+    "th_e": ("th_e", float),
+    "th_c": ("th_c", float),
+    "slope_limit": ("slope_limit", float),
+    "scheme": ("scheme", str),
+    "trigger_period": ("trigger_period", _int),
+    "stride": ("stride", _int),
+    "seed": ("seed", _int),
+    "substeps": ("substeps", _int),
+    "storativity": ("storativity", float),
+    "bottom_bc": ("bottom_bc", str),
+    "estimate_ceiling": ("estimate_ceiling", lambda v: None if v is None else float(v)),
+    "roots": ("roots", RootUptake),
+    "roots.root_depth": ("root_depth", float, True),
+    "roots.h_anaerobic": ("h_anaerobic", float),
+    "roots.h_field_capacity": ("h_field_capacity", float),
+    "roots.h_wilting": ("h_wilting", float),
+    "noise": (None, None),
+    "noise.process_var": ("process_noise_var", float),
+    "noise.measurement_var": ("measurement_noise_var", float),
+    "ekf": ("ekf", NoiseConfig),
+    "ekf.q_diag": ("q_diag", float),
+    "ekf.q_offdiag": ("q_offdiag", float),
+    "ekf.r_diag": ("r_diag", float),
+    "ekf.p0_diag": ("p0_diag", float),
+    "ekf.p0_offdiag": ("p0_offdiag", float),
+    "irrigation": (None, None),
+    "irrigation.rate": ("irrigation_rate", _series),
+    "irrigation.start_sector": ("irrigation_start_sector", _int),
+    "forcing": (None, None),
+    "forcing.et": ("et", _series),
+    "forcing.k_c": ("k_c", _series),
+    "forcing.rain": ("rain", _series),
+    "forecast": (None, None),
+    "forecast.irrigation_error": ("forecast_irrigation_error", _series),
+    "forecast.rain_error": ("forecast_rain_error", _series),
+    "snapshot_steps": ("snapshot_steps", _ints),
+}
+
+
+def _load(data, prefix: str = "") -> dict:
+    """ScenarioConfig arguments read from the scenario (prefix "") or one section ("grid.")."""
+    where = prefix[:-1] or "scenario"
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a mapping")
+    rows = {key[len(prefix):]: row for key, row in _KEYS.items()
+            if key.startswith(prefix) and "." not in key[len(prefix):]}
+    unknown = set(data) - set(rows)
+    if unknown:
+        raise ValidationError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+    args = {}
+    for key, (target, cast, *required) in rows.items():
+        name = prefix + key
+        section = any(k.startswith(name + ".") for k in _KEYS)
+        if key not in data or (section and data[key] is None):
+            if required:
+                raise ValidationError(f"missing required key: {name}")
+        elif not section:
+            try:
+                args[target] = cast(data[key])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name}: {exc}") from exc
+        elif cast is None:
+            args.update(_load(data[key], name + "."))
+        else:
+            args[target] = cast(**_load(data[key], name + "."))
+    return args
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed mapping."""
-    if not isinstance(data, dict):
-        raise ValidationError("scenario must be a mapping")
-    _check_keys(
-        data,
-        (
-            "grid", "soil", "truth_shift", "initial_truth", "initial_guess", "sensors",
-            "steps", "delta_s", "n_fd", "th_e", "th_c", "slope_limit", "scheme",
-            "trigger_period", "stride", "seed", "substeps", "storativity", "bottom_bc",
-            "estimate_ceiling", "roots", "noise", "ekf", "irrigation", "forcing", "forecast",
-            "snapshot_steps",
-        ),
-        "scenario",
-    )
-    grid_data = _require(data, "grid")
-    _check_keys(grid_data, ("n_r", "n_theta", "n_z", "radius", "depth"), "grid")
-    grid = CylindricalGrid(
-        n_r=int(_require(grid_data, "n_r", "grid")),
-        n_theta=int(_require(grid_data, "n_theta", "grid")),
-        n_z=int(_require(grid_data, "n_z", "grid")),
-        radius=float(_require(grid_data, "radius", "grid")),
-        depth=float(_require(grid_data, "depth", "grid")),
-    )
-    soil_data = _require(data, "soil")
-    _check_keys(soil_data, ("zones",), "soil")
-    kwargs = dict(
-        grid=grid,
-        soil_zones=_zones(_require(soil_data, "zones", "soil"), "soil.zones"),
-        initial_truth=tuple(float(v) for v in np.atleast_1d(_require(data, "initial_truth"))),
-        initial_guess=tuple(float(v) for v in np.atleast_1d(_require(data, "initial_guess"))),
-        sensors=tuple(int(v) for v in _require(data, "sensors")),
-        steps=int(_require(data, "steps")),
-    )
-    for key, cast in (
-        ("delta_s", float), ("n_fd", int), ("th_e", float), ("th_c", float),
-        ("slope_limit", float), ("scheme", str), ("trigger_period", int), ("stride", int),
-        ("seed", int), ("substeps", int), ("storativity", float), ("bottom_bc", str),
-    ):
-        if key in data:
-            kwargs[key] = cast(data[key])
-    if "estimate_ceiling" in data:
-        value = data["estimate_ceiling"]
-        kwargs["estimate_ceiling"] = None if value is None else float(value)
-    if "roots" in data and data["roots"] is not None:
-        roots_data = data["roots"]
-        _check_keys(roots_data, ("root_depth", "h_anaerobic", "h_field_capacity", "h_wilting"), "roots")
-        kwargs["roots"] = RootUptake(**{k: float(v) for k, v in roots_data.items()})
-    if "noise" in data:
-        noise_data = data["noise"]
-        _check_keys(noise_data, ("process_var", "measurement_var"), "noise")
-        if "process_var" in noise_data:
-            kwargs["process_noise_var"] = float(noise_data["process_var"])
-        if "measurement_var" in noise_data:
-            kwargs["measurement_noise_var"] = float(noise_data["measurement_var"])
-    if "ekf" in data:
-        ekf_data = data["ekf"]
-        _check_keys(ekf_data, ("q_diag", "q_offdiag", "r_diag", "p0_diag", "p0_offdiag"), "ekf")
-        kwargs["ekf"] = NoiseConfig(**{k: float(v) for k, v in ekf_data.items()})
-    if "irrigation" in data:
-        irr = data["irrigation"]
-        _check_keys(irr, ("rate", "start_sector"), "irrigation")
-        if "rate" in irr:
-            kwargs["irrigation_rate"] = _series(irr["rate"])
-        if "start_sector" in irr:
-            kwargs["irrigation_start_sector"] = int(irr["start_sector"])
-    if "forcing" in data:
-        forcing = data["forcing"]
-        _check_keys(forcing, ("et", "k_c", "rain"), "forcing")
-        for key in ("et", "k_c", "rain"):
-            if key in forcing:
-                kwargs[key] = _series(forcing[key])
-    if "forecast" in data:
-        fc = data["forecast"]
-        _check_keys(fc, ("irrigation_error", "rain_error"), "forecast")
-        if "irrigation_error" in fc:
-            kwargs["forecast_irrigation_error"] = _series(fc["irrigation_error"])
-        if "rain_error" in fc:
-            kwargs["forecast_rain_error"] = _series(fc["rain_error"])
-    if "truth_shift" in data and data["truth_shift"] is not None:
-        shift = data["truth_shift"]
-        _check_keys(shift, ("step", "zones"), "truth_shift")
-        kwargs["shift_step"] = int(_require(shift, "step", "truth_shift"))
-        kwargs["shift_zones"] = _zones(_require(shift, "zones", "truth_shift"), "truth_shift.zones")
-    if "snapshot_steps" in data:
-        kwargs["snapshot_steps"] = tuple(int(v) for v in data["snapshot_steps"])
-    return ScenarioConfig(**kwargs).validate()
+    return ScenarioConfig(**_load(data)).validate()
 
 
 def load_config(path) -> ScenarioConfig:
@@ -363,12 +362,6 @@ def load_config(path) -> ScenarioConfig:
 
 def with_overrides(cfg: ScenarioConfig, scheme: str | None = None, seed: int | None = None,
                    stride: int | None = None) -> ScenarioConfig:
-    """Replace the CLI-overridable fields and re-validate."""
-    changes = {}
-    if scheme is not None:
-        changes["scheme"] = scheme
-    if seed is not None:
-        changes["seed"] = seed
-    if stride is not None:
-        changes["stride"] = stride
-    return replace(cfg, **changes).validate() if changes else cfg
+    """Replace the CLI-overridable fields that are given and re-validate."""
+    changes = dict(scheme=scheme, seed=seed, stride=stride)
+    return replace(cfg, **{k: v for k, v in changes.items() if v is not None}).validate()

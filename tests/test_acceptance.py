@@ -35,7 +35,6 @@ from pivotflow import (
     reconstruct,
     run_scheme,
     run_truth,
-    trajectory_distance,
     water_content,
 )
 from pivotflow.cli import main as cli_main
@@ -148,7 +147,7 @@ def brute_force_average_linkage(data, th_c):
     base = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            base[i, j] = trajectory_distance(data[:, i], data[:, j])
+            base[i, j] = np.linalg.norm(data[:, i] - data[:, j])
     clusters = [[i] for i in range(n)]
     while len(clusters) > 1:
         best = None

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -42,6 +43,27 @@ def test_validate_bad_config_names_error(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "ValidationError" in err and "th_e" in err
+
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("th_e", lambda d: d.update(th_e="abc")),
+    ("steps", lambda d: d.update(steps=[1])),
+    ("grid.n_r", lambda d: d["grid"].update(n_r="x")),
+    ("sensors", lambda d: d["sensors"].__setitem__(3, 7.5)),
+])
+def test_validate_bad_value_prints_one_line_naming_the_key(tmp_path, capsys, key, edit):
+    data = yaml.safe_load(DESK.read_text())
+    edit(data)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(data))
+    assert main(["validate", str(bad)]) == 1  # an escaping exception would fail here
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"ValidationError: {key}: ")
 
 
 def test_missing_file_is_parse_error(tmp_path, capsys):

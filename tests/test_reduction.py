@@ -23,7 +23,6 @@ from pivotflow import (
     generate_snapshots,
     lift_state,
     reduce_state,
-    trajectory_distance,
 )
 from conftest import hydrostatic_state, merge_log, simulate_reduced
 
@@ -39,7 +38,7 @@ def reference_average_linkage(data, th_c):
     base = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            base[i, j] = trajectory_distance(data[:, i], data[:, j])
+            base[i, j] = np.linalg.norm(data[:, i] - data[:, j])
     clusters = [[i] for i in range(n)]
     while len(clusters) > 1:
         best = None
@@ -104,29 +103,6 @@ class TestSnapshots:
         # finite trajectories whose distance overflows
         with pytest.raises(NonFiniteState):
             cluster_trajectories(SnapshotMatrix([[1e200, -1e200]]), 1.0)
-
-
-class TestTrajectoryDistance:
-    def test_identical_columns(self):
-        a = np.linspace(-3, -1, 10)
-        assert trajectory_distance(a, a) == 0.0
-
-    def test_constant_offset_closed_form(self):
-        a = np.linspace(-5, -2, 16)
-        c = 0.75
-        assert trajectory_distance(a, a + c) == pytest.approx(c * np.sqrt(16), rel=1e-12)
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a, b = rng.normal(size=(2, 10))
-            naive = sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
-            assert trajectory_distance(a, b) == pytest.approx(naive, rel=1e-12)
-        assert trajectory_distance(a, b) == trajectory_distance(b, a)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            trajectory_distance(np.zeros(3), np.zeros(4))
 
 
 class TestClustering:

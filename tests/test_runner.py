@@ -8,10 +8,10 @@ import pytest
 from pivotflow import (
     DegenerateReference,
     DimensionMismatch,
+    EstimationTrace,
     FullModel,
     NonFiniteState,
     PivotflowError,
-    RunArtifacts,
     SingularInnovation,
     UnstableStep,
     export_artifacts,
@@ -155,6 +155,31 @@ class TestSchemes:
                        art.model_index, art.trigger, art.iter_seconds):
             assert len(series) == n
 
+    def test_snapshots_kept_only_at_snapshot_steps(self, tiny_truth):
+        cfg = config_from_dict(dict(TINY, snapshot_steps=[0, 3, 7]))
+        art = run_scheme(cfg, tiny_truth)
+        assert sorted(art.snapshots) == [0, 3, 7]
+        for step, (h_true, h_est) in art.snapshots.items():
+            assert np.array_equal(h_true, tiny_truth.states[step])
+            assert percent_mae(h_est, h_true) == art.percent_mae[step]
+        # no per-step array of full-grid estimates is kept
+        assert not any(np.shape(v) == (cfg.steps, cfg.n_x) for v in vars(art).values())
+        trace = run_adaptive_estimation(cfg, tiny_truth.measurements)
+        assert sorted(trace.snapshots) == [0, 3, 7]
+        assert all(h_true is None for h_true, _ in trace.snapshots.values())
+
+    def test_stride_holds_e_l_between_evaluations(self):
+        # With stride 3, e_L is evaluated at multiples of 3 and at re-identifications
+        # and recorded again unchanged in between, so a held step adds no rise to
+        # the differences edot_L averages.
+        cfg = config_from_dict(dict(TINY, steps=12, stride=3, scheme="performance"))
+        art = run_scheme(cfg, run_truth(cfg))
+        held = [s for s in range(1, cfg.steps) if s % 3 and not art.trigger[s]]
+        assert len(held) == 8
+        for s in held:
+            assert art.e_l[s] == art.e_l[s - 1], s
+        assert all(art.e_l[s] != art.e_l[s - 1] for s in (3, 6, 9))
+
     def test_covariance_stays_psd(self, tiny_cfg, tiny_truth):
         worst = []
 
@@ -173,7 +198,7 @@ class TestSchemes:
 class TestExport:
     def _artifacts(self, n=3):
         grid = CylindricalGrid(2, 2, 2, radius=1.0, depth=0.2)
-        return RunArtifacts(
+        return EstimationTrace(
             scheme="static",
             grid=grid,
             delta_s=1800.0,
@@ -205,6 +230,13 @@ class TestExport:
             "step,time_s,percent_mae,e_L,edot_L,r_m,model_index,trigger,iter_seconds"
         ]
         assert (tmp_path / "model_changes.csv").read_text().splitlines() == ["step,model_index,r_m"]
+
+    def test_snapshot_without_truth_leaves_truth_cells_blank(self, tmp_path):
+        art = self._artifacts()
+        art.snapshots = {0: (None, np.full(8, -2.5))}
+        export_artifacts(art, tmp_path)
+        row = (tmp_path / "state_snapshot_0.csv").read_text().splitlines()[1].split(",")
+        assert row[4:] == ["", "-2.5", ""]
 
     def test_snapshot_has_one_row_per_node(self, tmp_path):
         export_artifacts(self._artifacts(), tmp_path)
@@ -251,7 +283,18 @@ class TestEndToEndDeterminism:
 class TestLookahead:
     """Blocks of look-ahead steps must reproduce a one-step-at-a-time run."""
 
-    ARRAYS = ("estimates", "e_l", "edot_l", "orders", "model_index", "trigger", "percent_mae")
+    ARRAYS = ("e_l", "edot_l", "orders", "model_index", "trigger", "percent_mae")
+
+    @classmethod
+    def _assert_same(cls, run, reference):
+        for name in cls.ARRAYS:
+            assert getattr(run, name).tobytes() == getattr(reference, name).tobytes(), name
+        # the estimate of every step (snapshot_steps covers them all)
+        assert sorted(run.snapshots) == sorted(reference.snapshots) == list(range(len(run.e_l)))
+        for step, (h_true, h_est) in reference.snapshots.items():
+            assert run.snapshots[step][1].tobytes() == h_est.tobytes(), step
+            assert run.snapshots[step][0].tobytes() == h_true.tobytes(), step
+        assert run.model_changes == reference.model_changes
 
     @staticmethod
     def _estimate(monkeypatch, lookahead, cfg, measurements, **kwargs):
@@ -269,7 +312,7 @@ class TestLookahead:
         dict(scheme="performance", th_e=0.1, slope_limit=0.02),
     ])
     def test_blocks_equal_single_steps(self, over, monkeypatch):
-        cfg = config_from_dict(dict(TINY, steps=24, **over))
+        cfg = config_from_dict(dict(TINY, steps=24, snapshot_steps=list(range(24)), **over))
         truth = run_truth(cfg)
         rows = []
         step = FullModel.step
@@ -283,9 +326,7 @@ class TestLookahead:
         for lookahead in (1, ekf._LOOKAHEAD):
             rows.append(0)
             runs.append(self._estimate(monkeypatch, lookahead, cfg, truth.measurements, truth=truth.states))
-        for name in self.ARRAYS:
-            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
-        assert runs[1].model_changes == runs[0].model_changes
+        self._assert_same(runs[1], runs[0])
         if "slope_limit" in over:
             # a performance re-identification fires inside a block, so the walk must cut it
             assert any(k % ekf._LOOKAHEAD for k, _, _ in runs[0].model_changes[1:])
@@ -342,7 +383,7 @@ class TestLookahead:
             readings.append(time.perf_counter())
             return readings[-1]
 
-        cfg = config_from_dict(dict(TINY, steps=24, th_e=0.14, slope_limit=0.02))
+        cfg = config_from_dict(dict(TINY, steps=24, th_e=0.14, slope_limit=0.02, snapshot_steps=list(range(24))))
         truth = run_truth(cfg)
         update = ekf.ekf_update
         raised = []
@@ -364,9 +405,7 @@ class TestLookahead:
             assert np.all(runs[-1].iter_seconds >= 0)
             assert runs[-1].iter_seconds.sum() == pytest.approx(readings[-1] - readings[0], rel=1e-9)
         assert raised == [0, 1]
-        for name in self.ARRAYS:
-            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
-        assert runs[1].model_changes == runs[0].model_changes
+        self._assert_same(runs[1], runs[0])
 
     def test_iter_seconds_add_up_to_loop_wall_time(self, monkeypatch):
         readings = []

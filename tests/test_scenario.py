@@ -1,5 +1,6 @@
 """Scenario schema, validation, and schedule tests."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import yaml
 
 from pivotflow import ParseError, ValidationError, load_config
-from pivotflow.scenario import config_from_dict, default_sensor_layers, sensor_lattice
+from pivotflow.scenario import _KEYS, config_from_dict, default_sensor_layers, sensor_lattice
 from pivotflow.grid import CylindricalGrid
 
 MINIMAL = {
@@ -59,6 +60,62 @@ def test_sensor_bounds_checked():
     bad = dict(MINIMAL, sensors=[1, 1])
     with pytest.raises(ValidationError, match="sensors"):
         config_from_dict(bad)
+
+
+ZONE = MINIMAL["soil"]["zones"][0]
+
+
+@pytest.mark.parametrize("key, change", [
+    ("th_e", {"th_e": "abc"}),
+    ("th_e", {"th_e": None}),
+    ("steps", {"steps": [1]}),
+    ("steps", {"steps": 2.5}),
+    ("grid.n_r", {"grid": dict(MINIMAL["grid"], n_r="x")}),
+    ("sensors", {"sensors": [0, 2.5]}),
+    ("sensors", {"sensors": [0, "a"]}),
+    ("initial_guess", {"initial_guess": ["abc"]}),
+    ("forcing.et", {"forcing": {"et": "abc"}}),
+    ("ekf.r_diag", {"ekf": {"r_diag": "abc"}}),
+    ("soil.zones", {"soil": {"zones": []}}),
+    ("soil.zones", {"soil": {"zones": [dict(ZONE, alpha="x")]}}),
+    ("soil.zones", {"soil": {"zones": [dict(ZONE, alpha=-1.0)]}}),
+    ("soil.zones", {"soil": {"zones": [dict(ZONE, beta=1.0)]}}),
+    ("truth_shift.step", {"truth_shift": {"step": "x", "zones": [ZONE]}}),
+])
+def test_bad_value_raises_validation_error_naming_the_key(key, change):
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)}: "):
+        config_from_dict(dict(MINIMAL, **change))
+
+
+def test_sections_follow_the_key_table():
+    with pytest.raises(ValidationError, match="^unknown key\\(s\\) in noise: proces_var$"):
+        config_from_dict(dict(MINIMAL, noise={"proces_var": 1.0}))
+    with pytest.raises(ValidationError, match="^noise must be a mapping$"):
+        config_from_dict(dict(MINIMAL, noise=1.0))
+    with pytest.raises(ValidationError, match="^missing required key: grid$"):
+        config_from_dict(dict(MINIMAL, grid=None))
+    with pytest.raises(ValidationError, match="^missing required key: grid.depth$"):
+        config_from_dict(dict(MINIMAL, grid={k: v for k, v in MINIMAL["grid"].items() if k != "depth"}))
+    with pytest.raises(ValidationError, match="^missing required key: roots.root_depth$"):
+        config_from_dict(dict(MINIMAL, roots={"h_wilting": -16.0}))
+    # a null section counts as absent; a null estimate_ceiling disables the cap
+    cfg = config_from_dict(dict(MINIMAL, roots=None, truth_shift=None, estimate_ceiling=None))
+    assert cfg.roots is None and cfg.shift_step is None and cfg.estimate_ceiling is None
+    cfg = config_from_dict(dict(MINIMAL, roots={"root_depth": 0.2}, ekf={"r_diag": 0.5}, steps=4.0))
+    assert cfg.roots.root_depth == 0.2 and cfg.roots.h_wilting == -150.0
+    assert cfg.ekf.r_diag == 0.5 and cfg.ekf.q_diag == 1.0
+    assert cfg.steps == 4 and isinstance(cfg.steps, int)
+
+
+README = __import__("pathlib").Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_schema_lists_every_loader_key():
+    section = README.read_text().split("## Scenario schema", 1)[1].split("\n## ", 1)[0]
+    schema = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    sections = {name: value for name, value in schema.items() if isinstance(value, dict)}
+    documented = set(schema) | {f"{name}.{key}" for name, value in sections.items() for key in value}
+    assert documented == set(_KEYS)
 
 
 def test_scheme_and_shift_validation():

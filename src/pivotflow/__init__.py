@@ -67,7 +67,6 @@ from .soil import (
     SoilField,
     VanGenuchtenParams,
     capillary_capacity,
-    effective_saturation,
     hydraulic_conductivity,
     water_content,
 )

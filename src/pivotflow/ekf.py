@@ -65,14 +65,14 @@ class NoiseConfig:
     p0_offdiag: float = 5e-5
 
     def __post_init__(self):
-        if not self.r_diag > 0:
-            raise ValidationError("r_diag must be > 0")
+        if not 0 < self.r_diag < np.inf:
+            raise ValidationError("r_diag must be finite and > 0")
         for diag, off, name in (
             (self.q_diag, self.q_offdiag, "q"),
             (self.p0_diag, self.p0_offdiag, "p0"),
         ):
-            if diag < 0 or off < 0 or off > diag:
-                raise ValidationError(f"{name}_diag/{name}_offdiag must satisfy 0 <= offdiag <= diag")
+            if not 0 <= off <= diag < np.inf:
+                raise ValidationError(f"{name}_diag/{name}_offdiag must satisfy 0 <= offdiag <= diag < inf")
 
     def measurement_cov(self, n_y: int) -> np.ndarray:
         return self.r_diag * np.eye(n_y)
@@ -336,14 +336,14 @@ def percent_mae(x_hat, x_true) -> float:
     return float(100.0 * np.abs(x_hat - x_true).sum() / denom)
 
 
-def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> EstimationTrace:
+def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
     """Run the performance-triggered reduced EKF loop over a measurement stream.
 
     Each step: re-identify if the scheme's trigger fires, predict, update with
     the measurement, reconstruct the full-grid estimate, then evaluate the
     prediction-error metric and its filtered slope. ``truth``, when given, is
     only used to record the per-step estimation error and the snapshot truth
-    rows; ``diagnostics(k, state)`` is called after every update.
+    rows.
 
     The steps run in blocks of up to ``_LOOKAHEAD``. A block filters ahead
     under the model of its first step, stopping before a step whose trigger
@@ -468,8 +468,6 @@ def run_adaptive_estimation(cfg, measurements, truth=None, diagnostics=None) -> 
             if fired:
                 trace.model_changes.append((s, state.model_index, state.order))
 
-            if diagnostics is not None:
-                diagnostics(s, state)
             if s in cfg.snapshot_steps:
                 trace.snapshots[s] = (None if truth is None else np.array(truth[s]), x_hat)
             trace.e_l[s] = e_l

@@ -63,13 +63,6 @@ class CylindricalGrid:
             raise ValidationError("grid index out of range")
         return (i_r * self.n_theta + i_theta) * self.n_z + i_z
 
-    def unflatten(self, node: int) -> tuple[int, int, int]:
-        if not 0 <= node < self.n_nodes:
-            raise ValidationError("node index out of range")
-        i_z = node % self.n_z
-        rest = node // self.n_z
-        return rest // self.n_theta, rest % self.n_theta, i_z
-
     def reshape(self, x: np.ndarray) -> np.ndarray:
         """View a flat state vector as (n_r, n_theta, n_z)."""
         return np.asarray(x).reshape(self.n_r, self.n_theta, self.n_z)
@@ -105,10 +98,3 @@ class CylindricalGrid:
         quad_of_theta = (np.arange(self.n_theta) * 4) // self.n_theta
         q3d = np.broadcast_to(quad_of_theta[None, :, None], (self.n_r, self.n_theta, self.n_z))
         return self.flatten(q3d)
-
-    def surface_nodes(self, i_theta: int | None = None) -> np.ndarray:
-        """Flat indices of the surface layer, optionally for one sector."""
-        thetas = range(self.n_theta) if i_theta is None else [i_theta]
-        return np.array(
-            [self.flat_index(i, j, self.n_z - 1) for i in range(self.n_r) for j in thetas]
-        )

@@ -176,13 +176,6 @@ def _surface_flux(surface: SurfaceInput, forcing: StepForcing, grid: Cylindrical
     return q_in
 
 
-def _node_soil(soil, grid: CylindricalGrid) -> SoilField:
-    """The soil as a SoilField of flat per-node arrays (or scalars), products computed once."""
-    fields = [np.asarray(getattr(soil, f), dtype=float)
-              for f in ("alpha", "n_vg", "theta_r", "theta_s", "k_s")]
-    return SoilField(*(a if a.ndim == 0 else a.reshape(grid.n_nodes) for a in fields))
-
-
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
     """Measurement y = C x + v where C selects the sensor rows."""
     x = np.asarray(x, dtype=float)
@@ -214,8 +207,8 @@ class _Workspace:
 class FullModel:
     """Grid, soil, and integration settings bundled as the full-order model.
 
-    The soil is held as flat per-node arrays with the closures' parameter
-    products computed once, at construction.
+    The soil is held as a SoilField of scalars or flat per-node arrays, with
+    the closures' parameter products computed once, at construction.
     """
 
     grid: CylindricalGrid
@@ -231,7 +224,14 @@ class FullModel:
             raise ValidationError(f"bottom_bc must be one of {BOTTOM_CONDITIONS}")
         if self.substeps < 1:
             raise ValidationError("substeps must be >= 1")
-        object.__setattr__(self, "_params", _node_soil(self.soil, self.grid))
+        if not 0 < self.storativity < np.inf:
+            raise ValidationError("storativity must be finite and > 0")
+        soil = SoilField.of(self.soil)
+        n = self.grid.n_nodes
+        shapes = {np.shape(a) for a in vars(soil).values()} - {(), (n,)}
+        if shapes:
+            raise DimensionMismatch(f"soil arrays have shape {shapes.pop()}, expected () or ({n},)")
+        object.__setattr__(self, "_params", soil)
 
     @property
     def n_states(self) -> int:
@@ -316,20 +316,19 @@ class FullModel:
         rate /= c_eff
         return rate, g_bottom, sink
 
-    def _check(self, x, batch: bool) -> np.ndarray:
+    def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n = self.grid.n_nodes
-        if x.shape[-1:] != (n,) or x.ndim not in ((1, 2) if batch else (1,)):
-            expected = f"({n},) or (B, {n})" if batch else f"({n},)"
-            raise DimensionMismatch(f"state has shape {x.shape}, expected {expected}")
+        if x.shape[-1:] != (n,) or x.ndim > 2:
+            raise DimensionMismatch(f"state has shape {x.shape}, expected ({n},) or (B, {n})")
         if not np.all(np.isfinite(x)):
             raise NonFiniteState("state contains non-finite entries")
         return x
 
     def rhs(self, x, surface, forcing):
-        """Time derivative dx/dt [m/s] of the pressure-head state, flat-index order."""
-        x = self._check(x, batch=False)
-        h = x.reshape(1, -1)
+        """Time derivative dx/dt [m/s] of one state (n_nodes,) or a batch (B, n_nodes), flat-index order."""
+        x = self._check(x)
+        h = x.reshape(-1, self.grid.n_nodes)
         rate, _, _ = self._rates(h, _surface_flux(surface, forcing, self.grid), forcing,
                                  _Workspace(h.shape, self.grid))
         return rate.reshape(x.shape)
@@ -344,7 +343,7 @@ class FullModel:
         """
         if not dt > 0:
             raise ValidationError("dt must be > 0")
-        x = self._check(x, batch=True)
+        x = self._check(x)
         if budget is not None and x.ndim != 1:
             raise ValidationError("a water budget is kept for one state at a time")
         grid = self.grid

@@ -77,6 +77,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write ``header`` and then each of ``rows`` to the CSV file at ``path``."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def export_artifacts(artifacts: EstimationTrace, outdir) -> list[Path]:
     """Write metrics.csv, model_changes.csv, timings.csv, and state snapshots.
 
@@ -85,56 +94,40 @@ def export_artifacts(artifacts: EstimationTrace, outdir) -> list[Path]:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     n = artifacts.e_l.size
-    metrics_path = outdir / "metrics.csv"
-    with metrics_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(METRICS_COLUMNS)
-        for k in range(n):
-            writer.writerow([
-                k,
-                _fmt(k * artifacts.delta_s),
-                _fmt(artifacts.percent_mae[k]) if artifacts.percent_mae is not None else "",
-                _fmt(artifacts.e_l[k]),
-                _fmt(artifacts.edot_l[k]),
-                int(artifacts.orders[k]),
-                int(artifacts.model_index[k]),
-                int(artifacts.trigger[k]),
-                "",
-            ])
-    written.append(metrics_path)
-
-    changes_path = outdir / "model_changes.csv"
-    with changes_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("step", "model_index", "r_m"))
-        for step, model_index, order in artifacts.model_changes:
-            writer.writerow((step, model_index, order))
-    written.append(changes_path)
-
-    timings_path = outdir / "timings.csv"
-    with timings_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("step", "iter_seconds"))
-        for k in range(n):
-            writer.writerow((k, _fmt(artifacts.iter_seconds[k])))
-    written.append(timings_path)
+    metrics = (
+        [
+            k,
+            _fmt(k * artifacts.delta_s),
+            _fmt(artifacts.percent_mae[k]) if artifacts.percent_mae is not None else "",
+            _fmt(artifacts.e_l[k]),
+            _fmt(artifacts.edot_l[k]),
+            int(artifacts.orders[k]),
+            int(artifacts.model_index[k]),
+            int(artifacts.trigger[k]),
+            "",
+        ]
+        for k in range(n)
+    )
+    written = [
+        _write_csv(outdir / "metrics.csv", METRICS_COLUMNS, metrics),
+        _write_csv(outdir / "model_changes.csv", ("step", "model_index", "r_m"), artifacts.model_changes),
+        _write_csv(outdir / "timings.csv", ("step", "iter_seconds"),
+                   ((k, _fmt(artifacts.iter_seconds[k])) for k in range(n))),
+    ]
 
     r, theta, z = artifacts.grid.node_coordinates()
     for step, (h_true, h_est) in sorted(artifacts.snapshots.items()):
-        snap_path = outdir / f"state_snapshot_{step}.csv"
         known = h_true is not None  # a run without truth leaves h_true and abs_err blank
-        with snap_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("node", "r", "theta", "z", "h_true", "h_est", "abs_err"))
-            for i in range(artifacts.grid.n_nodes):
-                writer.writerow((
-                    i, _fmt(r[i]), _fmt(theta[i]), _fmt(z[i]), _fmt(h_true[i]) if known else "",
-                    _fmt(h_est[i]), _fmt(abs(h_est[i] - h_true[i])) if known else "",
-                ))
-        written.append(snap_path)
+        rows = (
+            (
+                i, _fmt(r[i]), _fmt(theta[i]), _fmt(z[i]), _fmt(h_true[i]) if known else "",
+                _fmt(h_est[i]), _fmt(abs(h_est[i] - h_true[i])) if known else "",
+            )
+            for i in range(artifacts.grid.n_nodes)
+        )
+        written.append(_write_csv(outdir / f"state_snapshot_{step}.csv",
+                                  ("node", "r", "theta", "z", "h_true", "h_est", "abs_err"), rows))
     return written
 
 
@@ -143,24 +136,21 @@ def export_comparison(runs: dict[str, EstimationTrace], outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     schemes = list(runs)
-    path = outdir / "comparison.csv"
     n = min(r.e_l.size for r in runs.values())
     header = ["step", "time_s"]
     for s in schemes:
         tag = s.replace("-", "_")
         header += [f"percent_mae_{tag}", f"e_L_{tag}", f"r_m_{tag}"]
     delta_s = next(iter(runs.values())).delta_s
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for k in range(n):
-            row = [k, _fmt(k * delta_s)]
-            for s in schemes:
-                art = runs[s]
-                row += [
-                    _fmt(art.percent_mae[k]) if art.percent_mae is not None else "",
-                    _fmt(art.e_l[k]),
-                    int(art.orders[k]),
-                ]
-            writer.writerow(row)
-    return path
+    rows = []
+    for k in range(n):
+        row = [k, _fmt(k * delta_s)]
+        for s in schemes:
+            art = runs[s]
+            row += [
+                _fmt(art.percent_mae[k]) if art.percent_mae is not None else "",
+                _fmt(art.e_l[k]),
+                int(art.orders[k]),
+            ]
+        rows.append(row)
+    return _write_csv(outdir / "comparison.csv", header, rows)

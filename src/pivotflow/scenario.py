@@ -19,7 +19,6 @@ from .ekf import SCHEMES, NoiseConfig
 from .errors import ParseError, ValidationError
 from .grid import CylindricalGrid
 from .richards import (
-    BOTTOM_CONDITIONS,
     FullModel,
     RootUptake,
     StepForcing,
@@ -79,8 +78,8 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.steps < 1:
             raise ValidationError("steps must be >= 1")
-        if not self.delta_s > 0:
-            raise ValidationError("delta_s must be > 0")
+        if not 0 < self.delta_s < np.inf:
+            raise ValidationError("delta_s must be finite and > 0")
         if self.n_fd < 1:
             raise ValidationError("n_fd must be >= 1")
         for name in ("th_e", "th_c", "slope_limit"):
@@ -92,14 +91,11 @@ class ScenarioConfig:
             raise ValidationError("trigger_period must be >= 0")
         if self.stride < 1:
             raise ValidationError("stride must be >= 1")
-        if self.substeps < 1:
-            raise ValidationError("substeps must be >= 1")
-        if self.bottom_bc not in BOTTOM_CONDITIONS:
-            raise ValidationError(f"bottom_bc must be one of {BOTTOM_CONDITIONS}")
-        if self.estimate_ceiling is not None and self.estimate_ceiling > 0:
-            raise ValidationError("estimate_ceiling must be <= 0 (or null to disable)")
-        if self.process_noise_var < 0 or self.measurement_noise_var < 0:
-            raise ValidationError("noise variances (process_var, measurement_var) must be >= 0")
+        if self.estimate_ceiling is not None and not -np.inf < self.estimate_ceiling <= 0:
+            raise ValidationError("estimate_ceiling must be finite and <= 0 (or null to disable)")
+        for kind in ("process", "measurement"):
+            if not 0 <= getattr(self, f"{kind}_noise_var") < np.inf:
+                raise ValidationError(f"noise.{kind}_var must be finite and >= 0")
         if len(self.soil_zones) not in (1, 4):
             raise ValidationError("soil.zones must hold 1 (uniform) or 4 (per-quadrant) entries")
         for vals, name in ((self.initial_truth, "initial_truth"), (self.initial_guess, "initial_guess")):
@@ -121,6 +117,7 @@ class ScenarioConfig:
                 raise ValidationError("truth_shift.zones must match soil.zones in length")
             if not 0 <= self.shift_step <= self.steps:
                 raise ValidationError("truth_shift.step must lie within the run")
+        self.truth_models()  # the models check substeps, storativity and bottom_bc
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:
                 raise ValidationError("snapshot_steps must lie within [0, steps)")
@@ -154,14 +151,11 @@ class ScenarioConfig:
             return values[np.zeros(self.grid.n_nodes, dtype=int)]
         return values[self.grid.quadrant_of_node()]
 
-    def soil_field(self, zones=None) -> SoilField:
-        zones = list(zones or self.soil_zones)
-        return SoilField.from_zones(self._per_node(np.arange(len(zones))), zones)
-
     def _model(self, zones=None) -> FullModel:
+        zones = list(zones or self.soil_zones)
         return FullModel(
             grid=self.grid,
-            soil=self.soil_field(zones),
+            soil=SoilField.from_zones(self._per_node(np.arange(len(zones))), zones),
             roots=self.roots,
             substeps=self.substeps,
             storativity=self.storativity,

@@ -76,24 +76,10 @@ class SoilField:
         return p if isinstance(p, cls) else cls(p.alpha, p.n_vg, p.theta_r, p.theta_s, p.k_s)
 
 
-def effective_saturation(h, p):
-    """S_e(h) in [0, 1]; 1 for h >= 0."""
-    h = np.asarray(h, dtype=float)
-    with np.errstate(over="ignore"):
-        a = np.power(p.alpha * np.abs(np.minimum(h, 0.0)), p.n_vg)
-        se = np.power(1.0 + a, -p.m_vg)
-    return np.where(h >= 0.0, 1.0, se)
-
-
-def water_content(h, p):
-    """Volumetric water content theta(h) [m3/m3]."""
-    return p.theta_r + (p.theta_s - p.theta_r) * effective_saturation(h, p)
-
-
 def suction_logs(h, p, out=None):
     """(L, nL, lo) = (log(alpha|h|), n L, log(1 + exp(nL))), with |h| read as 0 where h >= 0.
 
-    The terms both closures below start from; pass them as ``logs`` to
+    The terms the closures below start from; pass them as ``logs`` to
     evaluate them once per state. Where h >= 0, L = nL = -inf and lo = 0,
     which sends the closures' exponentials to their saturated limits with no
     further mask. ``out`` takes three arrays of the broadcast shape to write
@@ -114,6 +100,17 @@ def suction_logs(h, p, out=None):
         log_one_a += 1.0
         np.log(log_one_a, out=log_one_a)
     return out
+
+
+def water_content(h, p):
+    """Volumetric water content theta(h) [m3/m3]; theta_s for h >= 0.
+
+    theta = theta_r + (theta_s - theta_r) S_e with S_e = (1 + a)^-m =
+    exp(-m lo) in the terms of ``suction_logs``.
+    """
+    p = SoilField.of(p)
+    _, _, log_one_a = suction_logs(h, p)
+    return p.theta_r + (p.theta_s - p.theta_r) * np.exp(-p.m_vg * log_one_a)
 
 
 def capillary_capacity(h, p, logs=None, out=None):

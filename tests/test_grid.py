@@ -19,7 +19,7 @@ def test_flat_index_is_a_bijection():
             for k in range(g.n_z):
                 idx = g.flat_index(i, j, k)
                 assert 0 <= idx < g.n_nodes
-                assert g.unflatten(idx) == (i, j, k)
+                assert np.unravel_index(idx, (g.n_r, g.n_theta, g.n_z)) == (i, j, k)
                 seen.add(idx)
     assert len(seen) == g.n_nodes
 
@@ -47,13 +47,6 @@ def test_quadrants_cover_and_order():
     assert set(q) == {0, 1, 2, 3}
     # each quadrant holds the same number of nodes when n_theta % 4 == 0
     assert all((q == i).sum() == g.n_nodes // 4 for i in range(4))
-
-
-def test_surface_nodes_are_top_layer():
-    g = CylindricalGrid(3, 4, 5, radius=1.0, depth=0.5)
-    nodes = g.surface_nodes()
-    assert len(nodes) == g.n_r * g.n_theta
-    assert all(g.unflatten(n)[2] == g.n_z - 1 for n in nodes)
 
 
 def test_reshape_roundtrip():

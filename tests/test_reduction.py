@@ -284,7 +284,8 @@ class TestReducedModel:
         c = Clustering(np.arange(small_grid.n_nodes) % 5, 5)
         # hydrostatic is NOT cluster-constant, so use singleton-per-column of z:
         # cluster nodes sharing the same depth (same h value in hydrostatic state)
-        depth_of = np.array([small_grid.unflatten(i)[2] for i in range(small_grid.n_nodes)])
+        depth_of = np.unravel_index(np.arange(small_grid.n_nodes),
+                                    (small_grid.n_r, small_grid.n_theta, small_grid.n_z))[2]
         u = build_projection(Clustering(depth_of, small_grid.n_z))
         xi = reduce_state(u, x0)
         out = ReducedModel(model, u).step(xi, SurfaceInput.idle(small_grid.n_r), StepForcing(), 1800.0)

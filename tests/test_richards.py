@@ -147,6 +147,10 @@ class TestRhs:
         model = FullModel(desk_grid, loam)
         with pytest.raises(DimensionMismatch):
             model.rhs(np.zeros(7), idle_input(desk_grid), IDLE)
+        # a soil array must hold one value per node
+        other = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        with pytest.raises(DimensionMismatch, match="soil arrays"):
+            FullModel(desk_grid, SoilField.from_zones(other.quadrant_of_node(), [loam] * 4))
 
 
 # -- step -----------------------------------------------------------------------
@@ -232,8 +236,8 @@ class TestStep:
 
     @pytest.mark.parametrize("bottom_bc", ["free_drainage", "no_flux"])
     def test_batch_rows_equal_single_steps(self, loam, bottom_bc):
-        # Rows of one batched step must be bit-identical to stepping each
-        # state alone with the same inputs.
+        # Rows of one batched step (and of one batched rhs) must be
+        # bit-identical to stepping each state alone with the same inputs.
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         soil = SoilField.from_zones(grid.quadrant_of_node(), [
             loam, VanGenuchtenParams(alpha=2.0, n_vg=1.41, theta_r=0.095, theta_s=0.41, k_s=1.2e-6),
@@ -245,9 +249,11 @@ class TestStep:
         surface = SurfaceInput(np.full(grid.n_r, 1e-7), 3)
         forcing = StepForcing(et=2e-8, k_c=0.5, rain=1e-8)
         batch = model.step(states, surface, forcing, 1800.0)
+        rates = model.rhs(states, surface, forcing)
         sinks = sink_term(states, grid, forcing, model.roots)
         for b in range(5):
             assert batch[b].tobytes() == model.step(states[b], surface, forcing, 1800.0).tobytes()
+            assert rates[b].tobytes() == model.rhs(states[b], surface, forcing).tobytes()
             assert sinks[b].tobytes() == sink_term(states[b], grid, forcing, model.roots).tobytes()
 
     def test_integer_rates_are_accepted(self, small_model, small_grid):

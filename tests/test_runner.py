@@ -180,15 +180,19 @@ class TestSchemes:
             assert art.e_l[s] == art.e_l[s - 1], s
         assert all(art.e_l[s] != art.e_l[s - 1] for s in (3, 6, 9))
 
-    def test_covariance_stays_psd(self, tiny_cfg, tiny_truth):
+    def test_covariance_stays_psd(self, tiny_cfg, tiny_truth, monkeypatch):
+        # every update is checked, look-ahead ones that a trigger discards too
+        update = ekf.ekf_update
         worst = []
 
-        def diag(k, state):
-            sym = np.abs(state.cov - state.cov.T).max()
-            eig = np.linalg.eigvalsh(state.cov).min()
-            worst.append((sym, eig))
+        def checked(state, y, r_cov):
+            state = update(state, y, r_cov)
+            worst.append((np.abs(state.cov - state.cov.T).max(), np.linalg.eigvalsh(state.cov).min()))
+            return state
 
-        run_adaptive_estimation(tiny_cfg, tiny_truth.measurements, diagnostics=diag)
+        monkeypatch.setattr(ekf, "ekf_update", checked)
+        run_adaptive_estimation(tiny_cfg, tiny_truth.measurements)
+        assert len(worst) >= tiny_cfg.steps
         sym = max(w[0] for w in worst)
         eig = min(w[1] for w in worst)
         assert sym < 1e-9

@@ -87,6 +87,31 @@ def test_bad_value_raises_validation_error_naming_the_key(key, change):
         config_from_dict(dict(MINIMAL, **change))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("estimate_ceiling", np.nan),
+    ("estimate_ceiling", -np.inf),
+    ("delta_s", np.inf),
+    ("storativity", np.nan),
+    ("storativity", np.inf),
+    ("storativity", 0.0),
+    ("storativity", -1.0),
+    ("noise.process_var", np.nan),
+    ("noise.process_var", np.inf),
+    ("noise.measurement_var", np.nan),
+    ("ekf.q_diag", np.nan),
+    ("ekf.q_offdiag", np.nan),
+    ("ekf.r_diag", np.inf),
+    ("ekf.p0_diag", np.inf),
+    ("ekf.p0_offdiag", np.nan),
+])
+def test_non_finite_or_out_of_range_value_names_the_key(key, value):
+    # each check reads "not <valid range>", so NaN fails it as well as values outside the range
+    section, _, name = key.rpartition(".")
+    change = {section: {name: value}} if section else {name: value}
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        config_from_dict(dict(MINIMAL, **change))
+
+
 def test_sections_follow_the_key_table():
     with pytest.raises(ValidationError, match="^unknown key\\(s\\) in noise: proces_var$"):
         config_from_dict(dict(MINIMAL, noise={"proces_var": 1.0}))

@@ -108,7 +108,7 @@ def test_closures_monotone_pairwise(h1, h2):
 
 
 def _reference_closures(h, p):
-    """K(h) and c(h) from their power forms in 40-digit decimal arithmetic."""
+    """K(h), c(h) and theta(h) from their power forms in 40-digit decimal arithmetic."""
     with localcontext() as ctx:
         ctx.prec = 40
         alpha, n = Decimal(p.alpha), Decimal(p.n_vg)
@@ -118,13 +118,15 @@ def _reference_closures(h, p):
         one_a = 1 + a
         k = Decimal(p.k_s) * one_a ** (-m / 2) * (1 - (a / one_a) ** m) ** 2
         c = (Decimal(p.theta_s) - Decimal(p.theta_r)) * m * n * alpha * ah ** (n - 1) * one_a ** (-(m + 1))
-        return float(k), float(c)
+        theta = Decimal(p.theta_r) + (Decimal(p.theta_s) - Decimal(p.theta_r)) * one_a ** -m
+        return float(k), float(c), float(theta)
 
 
 @pytest.mark.parametrize("heads, k_bound, c_bound", [
     # Largest relative errors found over these heads and soils: K 2.1e-9 and
     # c 4.4e-15 overall, K 1.0e-12 and c 3.3e-15 in the band. K loses digits
-    # at the dry end, where nL - lo in the log form cancels.
+    # at the dry end, where nL - lo in the log form cancels. theta is within
+    # 4.5e-16 on both ranges and is held to 1e-15.
     (-np.logspace(-3, 3, 200), 2.5e-9, 5e-15),
     (np.linspace(-14.0, -0.5, 200), 1.2e-12, 4e-15),
 ])
@@ -133,6 +135,7 @@ def test_closures_match_decimal_reference(heads, k_bound, c_bound):
         ref = np.array([_reference_closures(h, p) for h in heads])
         assert np.max(np.abs(hydraulic_conductivity(heads, p) / ref[:, 0] - 1.0)) <= k_bound
         assert np.max(np.abs(capillary_capacity(heads, p) / ref[:, 1] - 1.0)) <= c_bound
+        assert np.max(np.abs(water_content(heads, p) / ref[:, 2] - 1.0)) <= 1e-15
 
 
 def test_parameter_invariants_enforced():

@@ -64,7 +64,6 @@ from .runner import (
 )
 from .scenario import ScenarioConfig, config_from_dict, load_config, sensor_lattice
 from .soil import (
-    SoilField,
     VanGenuchtenParams,
     capillary_capacity,
     hydraulic_conductivity,

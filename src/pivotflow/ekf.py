@@ -222,48 +222,44 @@ def transfer_model(state: ReducedEkfState, new_projection: sp.csr_matrix,
 
 
 def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full,
-                         inputs, dt: float, offsets=None):
-    """Mean-per-node cumulative absolute gap between reduced and full open-loop runs.
+                         inputs, dt: float, offsets) -> np.ndarray:
+    """Mean-per-node cumulative absolute gap between reduced and full open-loop runs, per window.
 
-    Both models start from the current full-grid estimate (the reduced one
-    from its projection) and run the same scheduled inputs without noise.
-    A reduced step lifts, takes a full-model step and projects back, so the
-    full state and the lifted reduced state advance as one batch of
-    full-model steps.
+    Both models start from a full-grid estimate (the reduced one from its
+    projection) and run the same scheduled inputs without noise. A reduced
+    step lifts, takes a full-model step and projects back, so the full state
+    and the lifted reduced state advance as one batch of full-model steps.
 
-    With ``offsets`` (ascending clock ticks, one per window) ``x_hat_full``
-    is a (W, n) batch of start states and an array of W gaps is returned.
+    ``x_hat_full`` is a (W, n) batch of start states, one per window, and
+    ``offsets`` their ascending clock ticks; an array of W gaps is returned.
     Window w runs over ``inputs[offsets[w]:offsets[w] + horizon]``, where
     ``horizon = len(inputs) - offsets[-1]``. At each tick every live window
     steps in one call on ``[full rows; lifted reduced rows]``, since they all
     take that tick's input; each gap equals a single-window call bit for bit.
     """
     starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
-    ticks = [0] if offsets is None else [int(o) for o in offsets]
-    if len(ticks) != starts.shape[0] or ticks != sorted(ticks) or ticks[0] < 0:
+    ticks = np.asarray(offsets, dtype=int)
+    if ticks.shape != starts.shape[:1] or np.any(np.diff(ticks) < 0) or ticks[0] < 0:
         raise DimensionMismatch("offsets must be ascending, nonnegative and one per start state")
     horizon = len(inputs) - ticks[-1]
     if horizon < 1:
         raise ValidationError("error metric needs at least one prediction interval")
-    full_traj = np.empty((len(ticks), horizon + 1, model.n_states))
-    red_traj = np.empty((len(ticks), horizon + 1, projection.shape[1]))
+    full_traj = np.empty((ticks.size, horizon + 1, model.n_states))
+    red_traj = np.empty((ticks.size, horizon + 1, projection.shape[1]))
     full_traj[:, 0] = starts
-    for w, start in enumerate(starts):
-        red_traj[w, 0] = reduce_state(projection, start)
+    red_traj[:, 0] = reduce_state(projection, starts)
     for t, (surface, forcing) in enumerate(inputs):
-        live = [(w, t - o) for w, o in enumerate(ticks) if 0 <= t - o < horizon]
-        if not live:
+        live = np.flatnonzero((ticks <= t) & (t - ticks < horizon))
+        if not live.size:
             continue
-        rows = model.step(np.stack([full_traj[w, j] for w, j in live]
-                                   + [lift_state(projection, red_traj[w, j]) for w, j in live]),
+        at = t - ticks[live]
+        rows = model.step(np.concatenate([full_traj[live, at], lift_state(projection, red_traj[live, at])]),
                           surface, forcing, dt)
-        for (w, j), full_row, red_row in zip(live, rows, rows[len(live):]):
-            full_traj[w, j + 1] = full_row
-            red_traj[w, j + 1] = reduce_state(projection, red_row)
+        full_traj[live, at + 1] = rows[:live.size]
+        red_traj[live, at + 1] = reduce_state(projection, rows[live.size:])
     # one contiguous (horizon, n) gap array per window keeps the summation order
-    gaps = np.array([np.abs((projection @ red.T).T[1:] - full[1:]).sum() / model.n_states
+    return np.array([np.abs(lift_state(projection, red)[1:] - full[1:]).sum() / model.n_states
                      for full, red in zip(full_traj, red_traj)])
-    return gaps if offsets is not None else float(gaps[0])
 
 
 @dataclass

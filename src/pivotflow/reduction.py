@@ -109,20 +109,28 @@ def build_projection(clustering: Clustering) -> sp.csr_matrix:
     return sp.csr_matrix((weights, (np.arange(n), cols)), shape=(n, clustering.n_clusters))
 
 
-def reduce_state(projection: sp.csr_matrix, x) -> np.ndarray:
-    """xi = U^T x."""
+def _rows_of(x, size: int, what: str) -> np.ndarray:
+    """``x`` as floats, checked to be one vector (size,) or a batch (B, size)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (projection.shape[0],):
-        raise DimensionMismatch(f"state has shape {x.shape}, expected ({projection.shape[0]},)")
-    return projection.T @ x
+    if x.ndim not in (1, 2) or x.shape[-1] != size:
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({size},) or (B, {size})")
+    return x
+
+
+def reduce_state(projection: sp.csr_matrix, x) -> np.ndarray:
+    """xi = U^T x of one state (n,) or of each row of a batch (B, n).
+
+    Each row of a batch equals the single-state result bit for bit.
+    """
+    return (projection.T @ _rows_of(x, projection.shape[0], "state").T).T
 
 
 def lift_state(projection: sp.csr_matrix, xi) -> np.ndarray:
-    """x_tilde = U xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (projection.shape[1],):
-        raise DimensionMismatch(f"reduced state has shape {xi.shape}, expected ({projection.shape[1]},)")
-    return projection @ xi
+    """x_tilde = U xi of one reduced state (r,) or of each row of a batch (B, r).
+
+    Each row of a batch equals the single-state result bit for bit.
+    """
+    return (projection @ _rows_of(xi, projection.shape[1], "reduced state").T).T
 
 
 @dataclass(frozen=True)
@@ -146,12 +154,5 @@ class ReducedModel:
         ``xi`` may also be a (B, order) batch; the full model then steps all
         B lifted states in one call, and each row equals a single-state step.
         """
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim not in (1, 2) or xi.shape[-1] != self.order:
-            raise DimensionMismatch(
-                f"reduced state has shape {xi.shape}, expected ({self.order},) or (B, {self.order})"
-            )
-        rows = np.atleast_2d(xi)
-        lifted = (self.projection @ rows.T).T
-        stepped = self.full.step(lifted, surface, forcing, dt)
-        return (self.projection.T @ stepped.T).T.reshape(xi.shape)
+        return reduce_state(self.projection,
+                            self.full.step(lift_state(self.projection, xi), surface, forcing, dt))

@@ -11,7 +11,7 @@ Euler over a fixed number of equal sub-steps per sampling interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import CylindricalGrid
-from .soil import SoilField, capillary_capacity, hydraulic_conductivity, suction_logs
+from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
 
@@ -72,10 +72,10 @@ class RootUptake:
     h_wilting: float = -150.0
 
     def __post_init__(self):
-        if not self.root_depth > 0:
-            raise ValidationError("root_depth must be > 0")
-        if not (self.h_wilting < self.h_field_capacity < self.h_anaerobic <= 0):
-            raise ValidationError("require h_wilting < h_field_capacity < h_anaerobic <= 0")
+        if not 0 < self.root_depth < np.inf:
+            raise ValidationError("root_depth must be finite and > 0")
+        if not (-np.inf < self.h_wilting < self.h_field_capacity < self.h_anaerobic <= 0):
+            raise ValidationError("require -inf < h_wilting < h_field_capacity < h_anaerobic <= 0")
 
 
 @dataclass
@@ -207,17 +207,15 @@ class _Workspace:
 class FullModel:
     """Grid, soil, and integration settings bundled as the full-order model.
 
-    The soil is held as a SoilField of scalars or flat per-node arrays, with
-    the closures' parameter products computed once, at construction.
+    The soil's fields are scalars (one soil everywhere) or flat per-node arrays.
     """
 
     grid: CylindricalGrid
-    soil: object
+    soil: VanGenuchtenParams
     roots: RootUptake | None = None
     substeps: int = 12
     storativity: float = 1e-4
     bottom_bc: str = "free_drainage"
-    _params: SoilField = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.bottom_bc not in BOTTOM_CONDITIONS:
@@ -226,12 +224,12 @@ class FullModel:
             raise ValidationError("substeps must be >= 1")
         if not 0 < self.storativity < np.inf:
             raise ValidationError("storativity must be finite and > 0")
-        soil = SoilField.of(self.soil)
+        if self.roots is not None and self.roots.root_depth > self.grid.depth + 1e-12:
+            raise ValidationError("roots.root_depth must not exceed grid depth")
         n = self.grid.n_nodes
-        shapes = {np.shape(a) for a in vars(soil).values()} - {(), (n,)}
+        shapes = {np.shape(a) for a in vars(self.soil).values()} - {(), (n,)}
         if shapes:
             raise DimensionMismatch(f"soil arrays have shape {shapes.pop()}, expected () or ({n},)")
-        object.__setattr__(self, "_params", soil)
 
     @property
     def n_states(self) -> int:
@@ -245,9 +243,9 @@ class FullModel:
         grid = self.grid
         n_r, n_t, n_z = grid.n_r, grid.n_theta, grid.n_z
         rows = h.shape[0]
-        logs = suction_logs(h, self._params, out=work.logs)
-        k = hydraulic_conductivity(h, self._params, logs=logs, out=work.k)
-        c_eff = capillary_capacity(h, self._params, logs=logs, out=work.c)
+        logs = suction_logs(h, self.soil, out=work.logs)
+        k = hydraulic_conductivity(h, self.soil, logs=logs, out=work.k)
+        c_eff = capillary_capacity(h, self.soil, logs=logs, out=work.c)
         np.maximum(c_eff, self.storativity, out=c_eff)
         rate = work.rate
         # the logs are spent: their arrays serve as scratch below

@@ -70,10 +70,6 @@ def run_compare(cfg: ScenarioConfig) -> dict[str, EstimationTrace]:
 # -- CSV export ---------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 

@@ -24,7 +24,7 @@ from .richards import (
     StepForcing,
     SurfaceInput,
 )
-from .soil import SoilField, VanGenuchtenParams
+from .soil import VanGenuchtenParams
 
 
 def _series(value) -> np.ndarray:
@@ -91,6 +91,8 @@ class ScenarioConfig:
             raise ValidationError("trigger_period must be >= 0")
         if self.stride < 1:
             raise ValidationError("stride must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.estimate_ceiling is not None and not -np.inf < self.estimate_ceiling <= 0:
             raise ValidationError("estimate_ceiling must be finite and <= 0 (or null to disable)")
         for kind in ("process", "measurement"):
@@ -108,8 +110,6 @@ class ScenarioConfig:
             raise ValidationError(f"sensors must lie within [0, {self.grid.n_nodes})")
         if np.unique(sensors).size != sensors.size:
             raise ValidationError("sensors must not contain duplicates")
-        if self.roots is not None and self.roots.root_depth > self.grid.depth:
-            raise ValidationError("roots.root_depth must not exceed grid depth")
         if (self.shift_step is None) != (self.shift_zones is None):
             raise ValidationError("truth_shift needs both step and zones")
         if self.shift_zones is not None:
@@ -117,7 +117,7 @@ class ScenarioConfig:
                 raise ValidationError("truth_shift.zones must match soil.zones in length")
             if not 0 <= self.shift_step <= self.steps:
                 raise ValidationError("truth_shift.step must lie within the run")
-        self.truth_models()  # the models check substeps, storativity and bottom_bc
+        self.truth_models()  # the models check substeps, storativity, bottom_bc and roots.root_depth
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:
                 raise ValidationError("snapshot_steps must lie within [0, steps)")
@@ -155,7 +155,7 @@ class ScenarioConfig:
         zones = list(zones or self.soil_zones)
         return FullModel(
             grid=self.grid,
-            soil=SoilField.from_zones(self._per_node(np.arange(len(zones))), zones),
+            soil=VanGenuchtenParams.from_zones(self._per_node(np.arange(len(zones))), zones),
             roots=self.roots,
             substeps=self.substeps,
             storativity=self.storativity,

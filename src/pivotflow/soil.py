@@ -1,79 +1,75 @@
 """van Genuchten-Mualem soil hydraulic closures.
 
-All functions accept scalar or array pressure heads [m] and parameter
-containers whose fields may be scalars or per-node arrays, so the same
-closures serve single-sample tests and vectorized grid evaluation.
-Saturated inputs (h >= 0) are clamped to the saturated values.
+All functions accept scalar or array pressure heads [m] and a
+``VanGenuchtenParams`` whose fields are scalars (one soil) or per-node
+arrays (a field), so the same closures serve single-sample tests and
+vectorized grid evaluation. Saturated inputs (h >= 0) are clamped to the
+saturated values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 
 
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class VanGenuchtenParams:
-    """Soil hydraulic parameter set (alpha [1/m], K_s [m/s], contents [m3/m3])."""
+    """Soil hydraulic parameters (alpha [1/m], K_s [m/s], contents [m3/m3]).
 
-    alpha: float
-    n_vg: float
-    theta_r: float
-    theta_s: float
-    k_s: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be > 0")
-        if not self.n_vg > 1:
-            raise ValidationError("n_vg must be > 1")
-        if not self.k_s > 0:
-            raise ValidationError("k_s must be > 0")
-        if not (0 <= self.theta_r < self.theta_s <= 1):
-            raise ValidationError("require 0 <= theta_r < theta_s <= 1")
-
-    @property
-    def m_vg(self) -> float:
-        return 1.0 - 1.0 / self.n_vg
-
-
-class SoilField:
-    """Per-node parameter arrays expanded from per-zone values.
-
-    Provides the same attribute surface as ``VanGenuchtenParams`` so the
-    closures below work unchanged on full grids; the parameter products the
-    closures read are computed once, here.
+    Each field is a scalar (one soil) or a per-node array (a field, see
+    ``from_zones``). The parameter products the closures read are computed
+    once, at construction. Per-node sets hold arrays, so like any dataclass
+    of arrays they cannot be compared with ``==``.
     """
 
-    def __init__(self, alpha, n_vg, theta_r, theta_s, k_s):
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.n_vg = np.asarray(n_vg, dtype=float)
-        self.theta_r = np.asarray(theta_r, dtype=float)
-        self.theta_s = np.asarray(theta_s, dtype=float)
-        self.k_s = np.asarray(k_s, dtype=float)
-        self.m_vg = 1.0 - 1.0 / self.n_vg
-        self.neg_alpha = -self.alpha
-        self.n_minus_1 = self.n_vg - 1.0
-        self.neg_m_plus_1 = -(self.m_vg + 1.0)
-        self.half_neg_m = -0.5 * self.m_vg
-        self.c_scale = (self.theta_s - self.theta_r) * self.m_vg * self.n_vg * self.alpha
+    alpha: float | np.ndarray
+    n_vg: float | np.ndarray
+    theta_r: float | np.ndarray
+    theta_s: float | np.ndarray
+    k_s: float | np.ndarray
+    m_vg: float | np.ndarray = _derived()
+    neg_alpha: float | np.ndarray = _derived()
+    n_minus_1: float | np.ndarray = _derived()
+    neg_m_plus_1: float | np.ndarray = _derived()
+    half_neg_m: float | np.ndarray = _derived()
+    c_scale: float | np.ndarray = _derived()
+
+    def __post_init__(self):
+        if not np.all((0 < self.alpha) & (self.alpha < np.inf)):
+            raise ValidationError("alpha must be finite and > 0")
+        if not np.all((1 < self.n_vg) & (self.n_vg < np.inf)):
+            raise ValidationError("n_vg must be finite and > 1")
+        if not np.all((0 < self.k_s) & (self.k_s < np.inf)):
+            raise ValidationError("k_s must be finite and > 0")
+        if not np.all((0 <= self.theta_r) & (self.theta_r < self.theta_s) & (self.theta_s <= 1)):
+            raise ValidationError("require 0 <= theta_r < theta_s <= 1")
+        m = 1.0 - 1.0 / self.n_vg
+        for name, value in (
+            ("m_vg", m),
+            ("neg_alpha", -self.alpha),
+            ("n_minus_1", self.n_vg - 1.0),
+            ("neg_m_plus_1", -(m + 1.0)),
+            ("half_neg_m", -0.5 * m),
+            ("c_scale", (self.theta_s - self.theta_r) * m * self.n_vg * self.alpha),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_zones(cls, zone_of_node: np.ndarray, zones: "list[VanGenuchtenParams]") -> "SoilField":
-        """Build node arrays by looking up each node's zone parameters."""
+    def from_zones(cls, zone_of_node: np.ndarray, zones: "list[VanGenuchtenParams]") -> "VanGenuchtenParams":
+        """Per-node parameters: each node takes the values of its zone in ``zones``."""
         z = np.asarray(zone_of_node, dtype=int)
         if z.min() < 0 or z.max() >= len(zones):
             raise ValidationError("zone_of_node references a zone outside soil.zones")
         pick = lambda attr: np.array([getattr(p, attr) for p in zones], dtype=float)[z]
         return cls(pick("alpha"), pick("n_vg"), pick("theta_r"), pick("theta_s"), pick("k_s"))
-
-    @classmethod
-    def of(cls, p) -> "SoilField":
-        """``p`` itself if it is a SoilField, else a SoilField of its (scalar) values."""
-        return p if isinstance(p, cls) else cls(p.alpha, p.n_vg, p.theta_r, p.theta_s, p.k_s)
 
 
 def suction_logs(h, p, out=None):
@@ -86,7 +82,6 @@ def suction_logs(h, p, out=None):
     the terms into.
     """
     h = np.asarray(h, dtype=float)
-    p = SoilField.of(p)
     if out is None:
         shape = np.broadcast_shapes(h.shape, np.shape(p.alpha))
         out = (np.empty(shape), np.empty(shape), np.empty(shape))
@@ -108,7 +103,6 @@ def water_content(h, p):
     theta = theta_r + (theta_s - theta_r) S_e with S_e = (1 + a)^-m =
     exp(-m lo) in the terms of ``suction_logs``.
     """
-    p = SoilField.of(p)
     _, _, log_one_a = suction_logs(h, p)
     return p.theta_r + (p.theta_s - p.theta_r) * np.exp(-p.m_vg * log_one_a)
 
@@ -119,7 +113,6 @@ def capillary_capacity(h, p, logs=None, out=None):
     c = (theta_s - theta_r) m n alpha exp((n - 1) L - (m + 1) lo) in the
     terms of ``suction_logs``.
     """
-    p = SoilField.of(p)
     log_ah, _, log_one_a = suction_logs(h, p) if logs is None else logs
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.multiply(log_ah, p.n_minus_1, out=np.empty_like(log_ah) if out is None else out)
@@ -136,7 +129,6 @@ def hydraulic_conductivity(h, p, logs=None, out=None):
     evaluated as K_s exp(-m lo/2) (1 - exp(m (nL - lo)))^2 in the terms of
     ``suction_logs``.
     """
-    p = SoilField.of(p)
     _, n_log, log_one_a = suction_logs(h, p) if logs is None else logs
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.subtract(n_log, log_one_a, out=np.empty_like(n_log) if out is None else out)

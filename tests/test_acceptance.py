@@ -20,7 +20,6 @@ from pivotflow import (
     NoiseConfig,
     RootUptake,
     SnapshotMatrix,
-    SoilField,
     StepForcing,
     SurfaceInput,
     VanGenuchtenParams,
@@ -201,7 +200,7 @@ def test_criterion_4_physics_validity():
     # water budget over one simulated day with irrigation, rain, and uptake
     roots = RootUptake(root_depth=0.3, h_wilting=-16.0)
     model_b = FullModel(grid, LOAM, roots=roots, substeps=24)
-    soil = SoilField.from_zones(np.zeros(grid.n_nodes, int), [LOAM])
+    soil = VanGenuchtenParams.from_zones(np.zeros(grid.n_nodes, int), [LOAM])
     volumes = grid.flatten(grid.cell_volumes())
     h = np.full(grid.n_nodes, -8.0)
     budget = WaterBudget()

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
     ("steps", lambda d: d.update(steps=[1])),
     ("grid.n_r", lambda d: d["grid"].update(n_r="x")),
     ("sensors", lambda d: d["sensors"].__setitem__(3, 7.5)),
+    ("seed", lambda d: d.update(seed=-1)),
 ])
 def test_validate_bad_value_prints_one_line_naming_the_key(tmp_path, capsys, key, edit):
     data = yaml.safe_load(DESK.read_text())
@@ -63,7 +65,8 @@ def test_validate_bad_value_prints_one_line_naming_the_key(tmp_path, capsys, key
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"ValidationError: {key}: ")
+    # a bad cast reads "<key>: <reason>", a range check from validate() "<key> must ..."
+    assert re.match(rf"ValidationError: {re.escape(key)}(: | must )", captured.err)
 
 
 def test_missing_file_is_parse_error(tmp_path, capsys):

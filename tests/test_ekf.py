@@ -287,7 +287,7 @@ class TestErrorMetric:
         u = build_projection(Clustering.singletons(small_grid.n_nodes))
         x0 = np.full(small_grid.n_nodes, -6.0)
         inputs = [(SurfaceInput(np.full(small_grid.n_r, 1e-7), 0), StepForcing(rain=1e-8))] * 4
-        assert compute_error_metric(model, u, x0, inputs, 900.0) == 0.0
+        assert compute_error_metric(model, u, x0, inputs, 900.0, offsets=[0])[0] == 0.0
 
     def test_matches_naive_double_loop(self, loam):
         from pivotflow import CylindricalGrid, ReducedModel
@@ -302,7 +302,7 @@ class TestErrorMetric:
         u = build_projection(Clustering(assignment, len(ids)))
         inputs = [(SurfaceInput(np.full(grid.n_r, 2e-7), k % grid.n_theta), StepForcing(rain=1e-8))
                   for k in range(5)]
-        e = compute_error_metric(model, u, x0, inputs, 900.0)
+        e = compute_error_metric(model, u, x0, inputs, 900.0, offsets=[0])[0]
         # brute force: simulate both trajectories step by step and accumulate
         x = x0.copy()
         xi = reduce_state(u, x0)
@@ -331,7 +331,7 @@ class TestErrorMetric:
         full = model.simulate(x0, inputs, 900.0)
         red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 900.0)
         want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
-        assert compute_error_metric(model, u, x0, inputs, 900.0) == want
+        assert compute_error_metric(model, u, x0, inputs, 900.0, offsets=[0])[0] == want
 
     def test_batched_windows_equal_single_windows(self, loam, monkeypatch):
         # Windows at ticks 0, 2 and 3 overlap; the one at 9 starts after the
@@ -346,7 +346,7 @@ class TestErrorMetric:
         starts = rng.uniform(-12.0, -3.0, (len(offsets), grid.n_nodes))
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (t % 3)), t), StepForcing(et=2e-8, k_c=0.5, rain=1e-9 * t))
                   for t in range(offsets[-1] + horizon)]
-        singles = [compute_error_metric(model, u, x0, inputs[o:o + horizon], 900.0)
+        singles = [compute_error_metric(model, u, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
                    for o, x0 in zip(offsets, starts)]
 
         calls = []
@@ -370,7 +370,7 @@ class TestErrorMetric:
     def test_empty_window_rejected(self, small_model):
         u = build_projection(Clustering.singletons(small_model.n_states))
         with pytest.raises(ValidationError):
-            compute_error_metric(small_model, u, np.full(small_model.n_states, -5.0), [], 900.0)
+            compute_error_metric(small_model, u, np.full(small_model.n_states, -5.0), [], 900.0, offsets=[0])
 
 
 class TestSlopeEstimate:

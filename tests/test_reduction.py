@@ -239,6 +239,18 @@ class TestProjection:
         x = np.array([2.0, 4.0, 7.0])
         lifted = lift_state(u, reduce_state(u, x))
         assert lifted == pytest.approx([3.0, 3.0, 7.0])
+        # each row of a batch equals its single-state call bit for bit
+        rng = np.random.default_rng(4)
+        raw = rng.integers(0, 6, size=40)
+        ids = {}
+        u = build_projection(Clustering(np.array([ids.setdefault(int(a), len(ids)) for a in raw]), len(ids)))
+        xs = rng.normal(-6.0, 2.0, (5, 40))
+        xis = reduce_state(u, xs)
+        assert xis.shape == (5, len(ids))
+        assert all(np.array_equal(xi, reduce_state(u, x)) for xi, x in zip(xis, xs))
+        lifted = lift_state(u, xis)
+        assert lifted.shape == xs.shape
+        assert all(np.array_equal(row, lift_state(u, xi)) for row, xi in zip(lifted, xis))
 
     def test_projector_idempotent(self):
         rng = np.random.default_rng(7)
@@ -260,6 +272,13 @@ class TestProjection:
             reduce_state(u, np.zeros(5))
         with pytest.raises(DimensionMismatch):
             lift_state(u, np.zeros(5))
+        # (B, n) and (B, r) batches pass; a third axis does not
+        assert reduce_state(u, np.zeros((3, 4))).shape == (3, 4)
+        assert lift_state(u, np.zeros((3, 4))).shape == (3, 4)
+        with pytest.raises(DimensionMismatch):
+            reduce_state(u, np.zeros((2, 1, 4)))
+        with pytest.raises(DimensionMismatch):
+            lift_state(u, np.zeros((2, 1, 4)))
 
 
 class TestReducedModel:

@@ -12,7 +12,6 @@ from pivotflow import (
     FullModel,
     NonFiniteState,
     RootUptake,
-    SoilField,
     StepForcing,
     SurfaceInput,
     UnstableStep,
@@ -69,6 +68,16 @@ class TestSink:
         h = np.full(desk_grid.n_nodes, -200.0)
         s = sink_term(h, desk_grid, StepForcing(et=4e-8, k_c=1.0), roots)
         assert np.all(s == 0.0)
+
+    def test_root_parameters_checked(self, desk_grid, loam):
+        for bad in ({"root_depth": np.inf}, {"root_depth": 0.0}, {"root_depth": 0.3, "h_wilting": -np.inf},
+                    {"root_depth": 0.3, "h_anaerobic": 0.1}):
+            with pytest.raises(ValidationError):
+                RootUptake(**bad)
+        # roots deeper than the grid fail when the model is built, not at the first step with crop demand
+        with pytest.raises(ValidationError, match="^roots.root_depth must not exceed grid depth$"):
+            FullModel(desk_grid, loam, roots=RootUptake(root_depth=desk_grid.depth + 0.1))
+        FullModel(desk_grid, loam, roots=RootUptake(root_depth=desk_grid.depth))
 
     def test_no_extraction_below_root_zone(self, desk_grid):
         roots = RootUptake(root_depth=0.1)
@@ -150,7 +159,7 @@ class TestRhs:
         # a soil array must hold one value per node
         other = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         with pytest.raises(DimensionMismatch, match="soil arrays"):
-            FullModel(desk_grid, SoilField.from_zones(other.quadrant_of_node(), [loam] * 4))
+            FullModel(desk_grid, VanGenuchtenParams.from_zones(other.quadrant_of_node(), [loam] * 4))
 
 
 # -- step -----------------------------------------------------------------------
@@ -193,7 +202,7 @@ class TestStep:
             (CylindricalGrid(4, 6, 4, radius=3.0, depth=0.3), 0.1, loam),
             (desk, 0.15, loam),
             (desk, 0.3, sand),
-            (desk, 0.3, SoilField.from_zones(desk.quadrant_of_node(), [loam, sand] * 2)),
+            (desk, 0.3, VanGenuchtenParams.from_zones(desk.quadrant_of_node(), [loam, sand] * 2)),
         ]
         rng = np.random.default_rng(9)
         forcing = StepForcing(et=3e-8, k_c=0.7, rain=1e-8)
@@ -239,7 +248,7 @@ class TestStep:
         # Rows of one batched step (and of one batched rhs) must be
         # bit-identical to stepping each state alone with the same inputs.
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
-        soil = SoilField.from_zones(grid.quadrant_of_node(), [
+        soil = VanGenuchtenParams.from_zones(grid.quadrant_of_node(), [
             loam, VanGenuchtenParams(alpha=2.0, n_vg=1.41, theta_r=0.095, theta_s=0.41, k_s=1.2e-6),
         ] * 2)
         model = FullModel(grid, soil, roots=RootUptake(root_depth=0.2, h_wilting=-16.0),
@@ -278,7 +287,7 @@ class TestStep:
     def test_water_budget_closes_over_ten_steps(self, desk_grid, loam):
         roots = RootUptake(root_depth=0.3, h_wilting=-18.0)
         model = FullModel(desk_grid, loam, roots=roots, substeps=24)
-        soil = SoilField.from_zones(np.zeros(desk_grid.n_nodes, int), [loam])
+        soil = VanGenuchtenParams.from_zones(np.zeros(desk_grid.n_nodes, int), [loam])
         volumes = desk_grid.flatten(desk_grid.cell_volumes())
         h = np.full(desk_grid.n_nodes, -8.0)
         budget = WaterBudget()

@@ -81,6 +81,9 @@ ZONE = MINIMAL["soil"]["zones"][0]
     ("soil.zones", {"soil": {"zones": [dict(ZONE, alpha=-1.0)]}}),
     ("soil.zones", {"soil": {"zones": [dict(ZONE, beta=1.0)]}}),
     ("truth_shift.step", {"truth_shift": {"step": "x", "zones": [ZONE]}}),
+    ("soil.zones", {"soil": {"zones": [dict(ZONE, alpha=np.inf)]}}),
+    ("soil.zones", {"soil": {"zones": [dict(ZONE, n_vg=np.inf)]}}),
+    ("soil.zones", {"soil": {"zones": [dict(ZONE, k_s=np.inf)]}}),
 ])
 def test_bad_value_raises_validation_error_naming_the_key(key, change):
     with pytest.raises(ValidationError, match=f"^{re.escape(key)}: "):
@@ -103,6 +106,7 @@ def test_bad_value_raises_validation_error_naming_the_key(key, change):
     ("ekf.r_diag", np.inf),
     ("ekf.p0_diag", np.inf),
     ("ekf.p0_offdiag", np.nan),
+    ("seed", -1),
 ])
 def test_non_finite_or_out_of_range_value_names_the_key(key, value):
     # each check reads "not <valid range>", so NaN fails it as well as values outside the range

@@ -147,3 +147,16 @@ def test_parameter_invariants_enforced():
         VanGenuchtenParams(alpha=1.0, n_vg=1.5, theta_r=0.5, theta_s=0.4, k_s=1e-6)
     with pytest.raises(ValidationError):
         VanGenuchtenParams(alpha=1.0, n_vg=1.5, theta_r=0.05, theta_s=0.4, k_s=0.0)
+    good = dict(alpha=1.0, n_vg=1.5, theta_r=0.05, theta_s=0.4, k_s=1e-6)
+    for name in ("alpha", "n_vg", "k_s"):
+        with pytest.raises(ValidationError, match=name):
+            VanGenuchtenParams(**dict(good, **{name: np.inf}))
+    # a per-node set fails on one bad entry
+    for name, bad in (("alpha", np.inf), ("n_vg", 1.0), ("k_s", np.nan), ("theta_r", 0.5)):
+        with pytest.raises(ValidationError):
+            VanGenuchtenParams(**dict(good, **{name: np.array([good[name], bad, good[name]])}))
+    # a per-node set derives the same parameter products as its scalar entries
+    one = VanGenuchtenParams(**good)
+    field = VanGenuchtenParams(**{k: np.full(3, v) for k, v in good.items()})
+    for name in ("m_vg", "neg_alpha", "n_minus_1", "neg_m_plus_1", "half_neg_m", "c_scale"):
+        assert np.array_equal(getattr(field, name), np.full(3, getattr(one, name)))

@@ -1,7 +1,7 @@
 """Soil-moisture estimation for center-pivot fields.
 
 Cylindrical Richards-equation twin simulation, trajectory-clustered
-Petrov-Galerkin model reduction, and a performance-triggered
+Galerkin model reduction, and a performance-triggered
 reduced-order extended Kalman filter, plus a config-driven scenario
 runner with CSV artifacts.
 """

@@ -36,7 +36,6 @@ from .reduction import (
     lift_state,
     reduce_state,
 )
-from .richards import FullModel
 
 SCHEMES = ("performance", "static", "time-triggered")
 
@@ -221,22 +220,22 @@ def transfer_model(state: ReducedEkfState, new_projection: sp.csr_matrix,
     )
 
 
-def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full,
-                         inputs, dt: float, offsets) -> np.ndarray:
+def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, offsets) -> np.ndarray:
     """Mean-per-node cumulative absolute gap between reduced and full open-loop runs, per window.
 
     Both models start from a full-grid estimate (the reduced one from its
-    projection) and run the same scheduled inputs without noise. A reduced
-    step lifts, takes a full-model step and projects back, so the full state
-    and the lifted reduced state advance as one batch of full-model steps.
+    projection) and run the same scheduled inputs without noise: the full
+    rows with ``reduced.full.step``, the reduced rows with ``reduced.step``.
 
     ``x_hat_full`` is a (W, n) batch of start states, one per window, and
     ``offsets`` their ascending clock ticks; an array of W gaps is returned.
     Window w runs over ``inputs[offsets[w]:offsets[w] + horizon]``, where
-    ``horizon = len(inputs) - offsets[-1]``. At each tick every live window
-    steps in one call on ``[full rows; lifted reduced rows]``, since they all
-    take that tick's input; each gap equals a single-window call bit for bit.
+    ``horizon = len(inputs) - offsets[-1]``. At each tick the full rows of
+    every live window step in one call and their reduced rows in another,
+    since they all take that tick's input; each gap equals a single-window
+    call bit for bit.
     """
+    model, projection = reduced.full, reduced.projection
     starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
     ticks = np.asarray(offsets, dtype=int)
     if ticks.shape != starts.shape[:1] or np.any(np.diff(ticks) < 0) or ticks[0] < 0:
@@ -245,7 +244,7 @@ def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full
     if horizon < 1:
         raise ValidationError("error metric needs at least one prediction interval")
     full_traj = np.empty((ticks.size, horizon + 1, model.n_states))
-    red_traj = np.empty((ticks.size, horizon + 1, projection.shape[1]))
+    red_traj = np.empty((ticks.size, horizon + 1, reduced.order))
     full_traj[:, 0] = starts
     red_traj[:, 0] = reduce_state(projection, starts)
     for t, (surface, forcing) in enumerate(inputs):
@@ -253,10 +252,8 @@ def compute_error_metric(model: FullModel, projection: sp.csr_matrix, x_hat_full
         if not live.size:
             continue
         at = t - ticks[live]
-        rows = model.step(np.concatenate([full_traj[live, at], lift_state(projection, red_traj[live, at])]),
-                          surface, forcing, dt)
-        full_traj[live, at + 1] = rows[:live.size]
-        red_traj[live, at + 1] = reduce_state(projection, rows[live.size:])
+        full_traj[live, at + 1] = model.step(full_traj[live, at], surface, forcing, dt)
+        red_traj[live, at + 1] = reduced.step(red_traj[live, at], surface, forcing, dt)
     # one contiguous (horizon, n) gap array per window keeps the summation order
     return np.array([np.abs(lift_state(projection, red)[1:] - full[1:]).sum() / model.n_states
                      for full, red in zip(full_traj, red_traj)])
@@ -376,7 +373,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
 
     trigger = TriggerState(th_e=cfg.th_e, slope_limit=cfg.slope_limit)
     x_hat = cfg.guess_state0()
-    state = None
+    state = reduced = None
     e_l = 0.0
 
     trace = EstimationTrace(
@@ -404,7 +401,8 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
         block, spent = [], []  # (fired, state, x_hat) and seconds per step
         try:
             # 1. filter ahead; the scheduled triggers (all but performance) are known in advance
-            ahead, ahead_x = state, x_hat
+            # a block filters under one model: the one identified at its first step, if any
+            ahead, ahead_x, ahead_model = state, x_hat, reduced
             for s in range(k, min(k + width, n)):
                 if s > k and cfg.scheme != "performance" and _fires(cfg.scheme, s, trigger, cfg.period):
                     break
@@ -414,14 +412,14 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
                         model, ahead_x, cfg.estimator_inputs_window(max(s - 1, 0), cfg.n_fd), cfg.delta_s,
                     )
                     projection = build_projection(cluster_trajectories(snapshots, cfg.th_c))
+                    ahead_model = ReducedModel(model, projection)
                     if ahead is None:
                         ahead = initialize_filter(projection, ahead_x, cfg.ekf, sensors)
                     else:
                         ahead = transfer_model(ahead, projection, cfg.ekf, sensors, ahead.model_index + 1)
                 if s > 0:
                     surface, forcing = cfg.estimator_inputs(s - 1)
-                    ahead = ekf_predict(ahead, ReducedModel(model, ahead.projection), surface, forcing,
-                                        cfg.delta_s)
+                    ahead = ekf_predict(ahead, ahead_model, surface, forcing, cfg.delta_s)
                 ahead = ekf_update(ahead, measurements[s], r_cov)
                 if ceiling is not None:
                     ahead = clamp_estimate(ahead, ceiling)
@@ -437,7 +435,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
             gaps = {}
             if offsets:
                 gaps = dict(zip(offsets, compute_error_metric(
-                    model, ahead.projection, np.stack([block[i][2] for i in offsets]),
+                    ahead_model, np.stack([block[i][2] for i in offsets]),
                     cfg.estimator_inputs_window(k, offsets[-1] + cfg.n_fd), cfg.delta_s,
                     offsets=offsets,
                 ).tolist()))
@@ -458,7 +456,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
             s = k + i
             if i > 0 and _fires(cfg.scheme, s, trigger, cfg.period):
                 break
-            state, x_hat = ahead, ahead_x
+            state, x_hat, reduced = ahead, ahead_x, ahead_model
             e_l = gaps.get(i, e_l)
             trigger.record(e_l)
             if fired:

@@ -4,19 +4,25 @@ Snapshots of the full model are clustered per node trajectory with
 agglomerative average linkage (scipy's NN-chain algorithm, cut strictly
 below th_c, ids in first-member order), and the resulting partition
 defines an orthonormal projection U whose columns carry weight
-1/sqrt(cluster size). The reduced dynamics are Petrov-Galerkin: lift with
-U, advance the full model, project back with U^T.
+1/sqrt(cluster size). The reduced dynamics are Galerkin per sub-step:
+xi <- xi + dt_sub U^T f(U xi) over the full model's own sub-steps. Because U
+is a cluster projection, U xi is constant on each group of nodes that share
+a cluster and a soil, so U^T f(U xi) is computed exactly from per-group
+values on a coarse graph of the groups, at a cost that grows with the number
+of groups and of group pairs that share a face, not with the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, NonFiniteState, ValidationError
-from .richards import FullModel
+from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
+from .richards import FullModel, _stencil, _surface_flux, root_weight, stress_factor
+from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 
 @dataclass(frozen=True)
@@ -133,26 +139,199 @@ def lift_state(projection: sp.csr_matrix, xi) -> np.ndarray:
     return (projection @ _rows_of(xi, projection.shape[1], "reduced state").T).T
 
 
+def _cluster_partition(projection, n_nodes: int):
+    """(cluster of each node, weight of each column) of a cluster projection, or None for the identity.
+
+    A cluster projection has one nonzero per row and one finite weight per
+    column, and every column holds at least one node; anything else raises
+    ``ValidationError`` naming the fault.
+    """
+    u = sp.coo_matrix(projection)
+    if u.shape[0] != n_nodes:
+        raise DimensionMismatch("projection row count must match the full state size")
+    nonzero = u.data != 0
+    rows, cols, weights = u.row[nonzero], u.col[nonzero], u.data[nonzero]
+    per_row = np.bincount(rows, minlength=n_nodes)
+    if np.any(per_row != 1):
+        i = int(np.argmax(per_row != 1))
+        raise ValidationError(f"not a cluster projection: row {i} has {per_row[i]} nonzeros, expected 1")
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("not a cluster projection: weights must be finite")
+    cluster = np.empty(n_nodes, dtype=int)
+    cluster[rows] = cols
+    node_weight = np.empty(n_nodes)
+    node_weight[rows] = weights
+    if np.any(np.bincount(cluster, minlength=u.shape[1]) == 0):
+        raise ValidationError("not a cluster projection: a column holds no node")
+    col_weight = np.empty(u.shape[1])
+    col_weight[cluster] = node_weight
+    mixed = col_weight[cluster] != node_weight
+    if mixed.any():
+        raise ValidationError(
+            f"not a cluster projection: column {cluster[np.argmax(mixed)]} has more than one weight"
+        )
+    if u.shape[1] == n_nodes and np.array_equal(cluster, np.arange(n_nodes)) and np.all(col_weight == 1.0):
+        return None
+    return cluster, col_weight
+
+
+class _CoarseGraph(NamedTuple):
+    """The full model's grid seen through a cluster projection.
+
+    Node i of group g has the head w_c xi_c of its cluster c and the soil of
+    its group, so K, C and beta are constant on a group. A face between
+    groups g and g' adds (K_g + K_g') (diffusive (h_g' - h_g) + gravity) to
+    g's rate; ordered pair p carries one summed coefficient of each kind.
+    Faces inside a group drop out: radial and azimuthal fluxes vanish at equal
+    heads, and the vertical gravity terms cancel in the group's sum.
+    """
+
+    cluster: np.ndarray     # (G,) cluster of each group
+    weight: np.ndarray      # (G,) projection weight w_c of that cluster
+    col_weight: np.ndarray  # (r,) projection weight of each column
+    soil: VanGenuchtenParams  # one entry per group
+    src: np.ndarray         # (P,) ordered group pairs that share a face
+    dst: np.ndarray
+    diffusive: np.ndarray   # (P,) summed stencil coefficients
+    gravity: np.ndarray
+    surface: np.ndarray     # group of each surface cell, in (n_r, n_theta) order
+    drain: np.ndarray       # (G,) bottom cells over dz under free drainage, else 0
+    roots: np.ndarray       # (G,) summed root weights (zeros without roots)
+
+
+def _coarse_graph(full: FullModel, cluster: np.ndarray, col_weight: np.ndarray) -> _CoarseGraph:
+    """The coarse graph of ``full``'s grid under the partition ``cluster`` with column weights ``col_weight``."""
+    grid = full.grid
+    n_r, n_t, n_z, n = grid.n_r, grid.n_theta, grid.n_z, grid.n_nodes
+    names = [f.name for f in fields(full.soil) if f.init]
+    node_soil = [np.broadcast_to(np.asarray(getattr(full.soil, a), dtype=float), (n,)) for a in names]
+    # groups sorted by cluster, then by soil
+    _, first, group = np.unique(np.column_stack([cluster] + node_soil), axis=0,
+                                return_index=True, return_inverse=True)
+    group = group.ravel()
+    n_groups = first.size
+
+    # each face once, as (node a, node b, coefficient on a's rate, on b's rate, gravity on a's rate);
+    # a vertical face has a below b
+    nodes = np.arange(n).reshape(n_r, n_t, n_z)
+    radial_lo, radial_hi, azimuthal = _stencil(grid)
+    width = n_t * n_z
+    vertical = 0.5 / grid.dz**2
+    faces = [
+        (nodes[..., :-1].ravel(), nodes[..., 1:].ravel(), vertical, vertical, 0.5 / grid.dz),
+        (np.arange((n_r - 1) * width), np.arange(width, n), radial_lo.ravel(), radial_hi.ravel(), 0.0),
+    ]
+    if n_t > 1:  # periodic: face j joins theta j and j + 1 mod n_theta
+        az = azimuthal.ravel()
+        faces.append((nodes.ravel(), np.roll(nodes, -1, axis=1).ravel(), az, az, 0.0))
+    src, dst, diffusive, gravity = [], [], [], []
+    for a, b, on_a, on_b, grav in faces:
+        ga, gb = group[a], group[b]
+        cross = ga != gb
+        on_a = np.broadcast_to(on_a, a.shape)[cross]
+        on_b = np.broadcast_to(on_b, a.shape)[cross]
+        grav = np.full(on_a.shape, grav)
+        src += [ga[cross], gb[cross]]
+        dst += [gb[cross], ga[cross]]
+        diffusive += [on_a, on_b]
+        gravity += [grav, -grav]
+    pairs, slot = np.unique(np.concatenate(src) * n_groups + np.concatenate(dst), return_inverse=True)
+
+    columns = np.arange(n_r * n_t) * n_z
+    bottom = np.bincount(group[columns], minlength=n_groups).astype(float)
+    roots = np.zeros(n_groups)
+    if full.roots is not None:
+        roots = np.bincount(group, weights=root_weight(grid, full.roots.root_depth), minlength=n_groups)
+    return _CoarseGraph(
+        cluster=cluster[first],
+        weight=col_weight[cluster[first]],
+        col_weight=col_weight,
+        soil=VanGenuchtenParams(**{a: values[first] for a, values in zip(names, node_soil)}),
+        src=pairs // n_groups,
+        dst=pairs % n_groups,
+        diffusive=np.bincount(slot, weights=np.concatenate(diffusive), minlength=pairs.size),
+        gravity=np.bincount(slot, weights=np.concatenate(gravity), minlength=pairs.size),
+        surface=group[columns + n_z - 1],
+        drain=bottom / grid.dz if full.bottom_bc == "free_drainage" else np.zeros(n_groups),
+        roots=roots,
+    )
+
+
 @dataclass(frozen=True)
 class ReducedModel:
-    """Petrov-Galerkin reduction of a full model through a fixed projection."""
+    """Galerkin reduction of a full model through a fixed cluster projection.
+
+    The coarse graph of the projection is built once, at construction; a
+    projection that is not a cluster projection raises ``ValidationError``.
+    """
 
     full: FullModel
     projection: sp.csr_matrix
+    _graph: _CoarseGraph | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.projection.shape[0] != self.full.n_states:
-            raise DimensionMismatch("projection row count must match the full state size")
+        partition = _cluster_partition(self.projection, self.full.n_states)
+        object.__setattr__(self, "_graph", None if partition is None else _coarse_graph(self.full, *partition))
 
     @property
     def order(self) -> int:
         return self.projection.shape[1]
 
     def step(self, xi, surface, forcing, dt) -> np.ndarray:
-        """xi' = U^T f_step(U xi): lift, advance the full model, project back.
+        """Advance xi by dt with xi <- xi + dt_sub U^T f(U xi) over the full model's sub-steps.
 
-        ``xi`` may also be a (B, order) batch; the full model then steps all
-        B lifted states in one call, and each row equals a single-state step.
+        f is the full model's right-hand side, so this is explicit Euler on
+        the Galerkin-projected dynamics. Per sub-step it evaluates the soil
+        closures once per group and one flux per group pair, and it raises
+        ``UnstableStep`` when a lifted head leaves |h| <= 1e6, as
+        ``FullModel.step`` does. ``xi`` may also be a (B, order) batch; each
+        row equals a single-state step bit for bit.
+
+        When U is exactly the identity the coarse graph is the grid itself
+        and the map is the full model's, so the full model steps xi: the
+        singleton reduction then equals the full model bit for bit, which
+        the per-group summation order would not give.
         """
-        return reduce_state(self.projection,
-                            self.full.step(lift_state(self.projection, xi), surface, forcing, dt))
+        graph = self._graph
+        if graph is None:
+            return self.full.step(xi, surface, forcing, dt)
+        if not dt > 0:
+            raise ValidationError("dt must be > 0")
+        xi = _rows_of(xi, self.order, "reduced state")
+        if not np.all(np.isfinite(xi)):
+            raise NonFiniteState("reduced state contains non-finite entries")
+        full = self.full
+        grid = full.grid
+        n_groups, order = graph.cluster.size, self.order
+        inflow = np.bincount(graph.surface, weights=(_surface_flux(surface, forcing, grid) / grid.dz).ravel(),
+                             minlength=n_groups)
+        demand = forcing.k_c * forcing.et
+        sink = graph.roots * -demand if full.roots is not None and demand != 0.0 else None
+        sub = dt / full.substeps
+        out = xi.reshape(-1, order).copy()
+        rows = out.shape[0]
+        # bincount scatters each row's pairs into its groups and groups into its
+        # clusters in a fixed order, so a row's sums do not depend on the batch
+        to_group = (np.arange(rows)[:, None] * n_groups + graph.src).ravel()
+        to_cluster = (np.arange(rows)[:, None] * order + graph.cluster).ravel()
+        for _ in range(full.substeps):
+            h = out.take(graph.cluster, axis=1)
+            h *= graph.weight
+            logs = suction_logs(h, graph.soil)
+            k = hydraulic_conductivity(h, graph.soil, logs=logs)
+            c_eff = np.maximum(capillary_capacity(h, graph.soil, logs=logs), full.storativity)
+            flow = k.take(graph.src, axis=1) + k.take(graph.dst, axis=1)
+            flow *= graph.diffusive * (h.take(graph.dst, axis=1) - h.take(graph.src, axis=1)) + graph.gravity
+            rate = inflow - k * graph.drain
+            rate += np.bincount(to_group, weights=flow.ravel(), minlength=rows * n_groups).reshape(rows, n_groups)
+            if sink is not None:
+                rate += stress_factor(h, full.roots) * sink
+            rate /= c_eff
+            rate *= graph.weight
+            change = np.bincount(to_cluster, weights=rate.ravel(), minlength=rows * order)
+            change *= sub
+            out += change.reshape(rows, order)
+            # a lifted head beyond any physical suction (or NaN) means the explicit update diverged
+            if not np.abs(out * graph.col_weight).max() <= 1e6:
+                raise UnstableStep(f"reduced state diverged after a sub-step of {sub:g} s; increase substeps")
+        return out.reshape(xi.shape)

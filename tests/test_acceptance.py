@@ -3,8 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The shift-scenario runs (criteria 5 and 6) are shared through a
 session fixture and take most of the suite's time: on a 2-core machine
-criterion 5 took 57-59 s of its 600 s and criterion 6 165-176 s of its
-1200 s, and the whole tier-1 suite 3.5-4 minutes.
+with one BLAS thread, criterion 5 took 20-33 s of its 600 s, criterion 6
+60-92 s of its 1200 s, and the whole tier-1 suite 81-137 s (the spread is
+the shared host's load).
 """
 
 import time

@@ -10,6 +10,7 @@ from pivotflow import (
     NoiseConfig,
     NonFiniteState,
     ReducedEkfState,
+    ReducedModel,
     SingularInnovation,
     StepForcing,
     SurfaceInput,
@@ -65,7 +66,7 @@ class TestPredict:
     def test_batched_jacobian_equals_column_loop(self, loam):
         # ekf_predict steps every Jacobian column in one batch; a reference
         # that steps one perturbed state per call must agree bit for bit.
-        from pivotflow import CylindricalGrid, ReducedModel
+        from pivotflow import CylindricalGrid
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, substeps=4)
@@ -89,20 +90,25 @@ class TestPredict:
         assert batched.xi.tobytes() == f0.tobytes()
         assert batched.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
 
-    def test_predict_makes_one_full_step_call(self, loam, monkeypatch):
+    def test_predict_makes_one_reduced_step_call(self, loam, monkeypatch):
         # The estimate and its r_m perturbed copies share one (r_m + 1)-row
-        # full-model step.
-        from pivotflow import CylindricalGrid, ReducedModel
+        # reduced step, and on a non-identity projection the coarse graph
+        # steps them without any full-model step.
+        from pivotflow import CylindricalGrid
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
         reduced = ReducedModel(FullModel(grid, loam, substeps=4), u)
         state = make_state(np.full(7, -20.0), np.eye(7), 0.1 * np.eye(7), np.zeros((1, 7)), projection=u)
-        rows = []
-        step = FullModel.step
-        monkeypatch.setattr(FullModel, "step", lambda self, x, *a: rows.append(np.shape(x)) or step(self, x, *a))
+        full_rows, reduced_rows = [], []
+        full_step, reduced_step = FullModel.step, ReducedModel.step
+        monkeypatch.setattr(FullModel, "step",
+                            lambda self, x, *a: full_rows.append(np.shape(x)) or full_step(self, x, *a))
+        monkeypatch.setattr(ReducedModel, "step",
+                            lambda self, x, *a: reduced_rows.append(np.shape(x)) or reduced_step(self, x, *a))
         ekf_predict(state, reduced, SurfaceInput(np.zeros(grid.n_r), 0), StepForcing(), 900.0)
-        assert rows == [(8, grid.n_nodes)]
+        assert full_rows == []
+        assert reduced_rows == [(8, 7)]
 
     def test_predict_steps_any_model_once(self):
         # Not only a ReducedModel: every model gets the estimate and its r
@@ -287,10 +293,10 @@ class TestErrorMetric:
         u = build_projection(Clustering.singletons(small_grid.n_nodes))
         x0 = np.full(small_grid.n_nodes, -6.0)
         inputs = [(SurfaceInput(np.full(small_grid.n_r, 1e-7), 0), StepForcing(rain=1e-8))] * 4
-        assert compute_error_metric(model, u, x0, inputs, 900.0, offsets=[0])[0] == 0.0
+        assert compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0] == 0.0
 
     def test_matches_naive_double_loop(self, loam):
-        from pivotflow import CylindricalGrid, ReducedModel
+        from pivotflow import CylindricalGrid
 
         grid = CylindricalGrid(5, 2, 2, radius=2.0, depth=0.2)  # 20 nodes
         model = FullModel(grid, loam, substeps=2)
@@ -302,7 +308,7 @@ class TestErrorMetric:
         u = build_projection(Clustering(assignment, len(ids)))
         inputs = [(SurfaceInput(np.full(grid.n_r, 2e-7), k % grid.n_theta), StepForcing(rain=1e-8))
                   for k in range(5)]
-        e = compute_error_metric(model, u, x0, inputs, 900.0, offsets=[0])[0]
+        e = compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0]
         # brute force: simulate both trajectories step by step and accumulate
         x = x0.copy()
         xi = reduce_state(u, x0)
@@ -319,7 +325,7 @@ class TestErrorMetric:
     def test_paired_runs_equal_separate_runs(self, loam):
         # The full and reduced runs share two-row batched steps; the gap must
         # be the one of two separate open-loop runs, bit for bit.
-        from pivotflow import CylindricalGrid, ReducedModel, RootUptake
+        from pivotflow import CylindricalGrid, RootUptake
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
@@ -331,7 +337,7 @@ class TestErrorMetric:
         full = model.simulate(x0, inputs, 900.0)
         red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 900.0)
         want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
-        assert compute_error_metric(model, u, x0, inputs, 900.0, offsets=[0])[0] == want
+        assert compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0] == want
 
     def test_batched_windows_equal_single_windows(self, loam, monkeypatch):
         # Windows at ticks 0, 2 and 3 overlap; the one at 9 starts after the
@@ -346,31 +352,32 @@ class TestErrorMetric:
         starts = rng.uniform(-12.0, -3.0, (len(offsets), grid.n_nodes))
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (t % 3)), t), StepForcing(et=2e-8, k_c=0.5, rain=1e-9 * t))
                   for t in range(offsets[-1] + horizon)]
-        singles = [compute_error_metric(model, u, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
+        reduced = ReducedModel(model, u)
+        singles = [compute_error_metric(reduced, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
                    for o, x0 in zip(offsets, starts)]
 
         calls = []
         step = FullModel.step
         monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
-        gaps = compute_error_metric(model, u, starts, inputs, 900.0, offsets=offsets)
+        gaps = compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
         assert gaps.tolist() == singles
-        assert calls == [2, 2, 4, 6, 4, 4, 2, 2, 2, 2, 2]  # full and lifted row per live window
+        assert calls == [1, 1, 2, 3, 2, 2, 1, 1, 1, 1, 1]  # one full row per live window
 
     def test_batched_offsets_checked(self, small_model):
-        u = build_projection(Clustering.singletons(small_model.n_states))
+        reduced = ReducedModel(small_model, build_projection(Clustering.singletons(small_model.n_states)))
         starts = np.full((2, small_model.n_states), -5.0)
         window = [(SurfaceInput(np.zeros(small_model.grid.n_r), 0), StepForcing())] * 3
         with pytest.raises(DimensionMismatch):
-            compute_error_metric(small_model, u, starts, window, 900.0, offsets=[1, 0])
+            compute_error_metric(reduced, starts, window, 900.0, offsets=[1, 0])
         with pytest.raises(DimensionMismatch):
-            compute_error_metric(small_model, u, starts, window, 900.0, offsets=[0])
+            compute_error_metric(reduced, starts, window, 900.0, offsets=[0])
         with pytest.raises(ValidationError):
-            compute_error_metric(small_model, u, starts, window, 900.0, offsets=[0, 3])
+            compute_error_metric(reduced, starts, window, 900.0, offsets=[0, 3])
 
     def test_empty_window_rejected(self, small_model):
-        u = build_projection(Clustering.singletons(small_model.n_states))
+        reduced = ReducedModel(small_model, build_projection(Clustering.singletons(small_model.n_states)))
         with pytest.raises(ValidationError):
-            compute_error_metric(small_model, u, np.full(small_model.n_states, -5.0), [], 900.0, offsets=[0])
+            compute_error_metric(reduced, np.full(small_model.n_states, -5.0), [], 900.0, offsets=[0])
 
 
 class TestSlopeEstimate:

@@ -7,17 +7,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pivotflow import (
     Clustering,
+    CylindricalGrid,
     DimensionMismatch,
     FullModel,
     NonFiniteState,
     ReducedModel,
+    RootUptake,
     SnapshotMatrix,
     StepForcing,
     SurfaceInput,
+    UnstableStep,
     ValidationError,
+    VanGenuchtenParams,
     build_projection,
     cluster_trajectories,
     generate_snapshots,
@@ -313,8 +318,6 @@ class TestReducedModel:
     def test_uniform_field_one_cluster_matches_full(self, loam):
         # single-layer grid: a uniform state under uniform rain stays exactly
         # uniform, so the 1-cluster model must track the full simulation
-        from pivotflow import CylindricalGrid
-
         grid = CylindricalGrid(n_r=5, n_theta=8, n_z=1, radius=3.0, depth=0.1)
         model = FullModel(grid, loam, substeps=8)
         n = grid.n_nodes
@@ -326,3 +329,139 @@ class TestReducedModel:
         red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 1800.0)
         lifted = (u @ red.T).T
         assert np.abs(lifted[-1] - full[-1]).max() < 1e-6 * abs(full[-1]).max()
+
+
+DESK_ZONES = [
+    VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6),
+    VanGenuchtenParams(alpha=2.0, n_vg=1.41, theta_r=0.095, theta_s=0.41, k_s=1.2e-6),
+    VanGenuchtenParams(alpha=4.5, n_vg=1.68, theta_r=0.065, theta_s=0.45, k_s=5.0e-6),
+    VanGenuchtenParams(alpha=3.0, n_vg=1.48, theta_r=0.085, theta_s=0.42, k_s=2.0e-6),
+]
+
+
+def galerkin_reference(model, u, xi, surface, forcing, dt):
+    """xi <- xi + dt_sub U^T f(U xi) over the model's sub-steps, with f the full model's rhs."""
+    sub = dt / model.substeps
+    for _ in range(model.substeps):
+        xi = xi + sub * reduce_state(u, model.rhs(lift_state(u, xi), surface, forcing))
+    return xi
+
+
+def random_partition(n, n_clusters, rng):
+    raw = rng.integers(0, n_clusters, size=n)
+    ids = {}
+    return build_projection(Clustering(np.array([ids.setdefault(int(a), len(ids)) for a in raw]), len(ids)))
+
+
+def field_inputs(grid, steps):
+    return [(SurfaceInput(np.full(grid.n_r, 1e-7), t), StepForcing(et=2e-8, k_c=0.5, rain=1e-8 * (t % 2)))
+            for t in range(steps)]
+
+
+class TestCoarseStep:
+    # (n_r, n_theta, n_z, radius, depth), quadrant soil zones or one loam soil
+    GRIDS = {
+        "desk": ((10, 12, 6, 5.0, 0.4), True),
+        "desk-one-soil": ((10, 12, 6, 5.0, 0.4), False),
+        "reid-mid": ((12, 24, 8, 6.0, 0.4), True),
+        "n_r=1": ((1, 6, 4, 2.0, 0.4), True),
+        "n_theta=1": ((4, 1, 4, 2.0, 0.4), True),
+        "n_theta=2": ((4, 2, 4, 2.0, 0.4), True),  # two faces join the same two nodes
+        "n_z=1": ((4, 6, 1, 2.0, 0.1), True),
+    }
+
+    @staticmethod
+    def model(name, bottom_bc="free_drainage", with_roots=True, substeps=24):
+        dims, zoned = TestCoarseStep.GRIDS[name]
+        grid = CylindricalGrid(*dims)
+        soil = VanGenuchtenParams.from_zones(grid.quadrant_of_node(), DESK_ZONES) if zoned else DESK_ZONES[0]
+        roots = RootUptake(root_depth=min(0.3, grid.depth), h_wilting=-16.0) if with_roots else None
+        return FullModel(grid, soil, roots=roots, substeps=substeps, bottom_bc=bottom_bc)
+
+    @pytest.mark.parametrize("with_roots", [True, False], ids=["roots", "no-roots"])
+    @pytest.mark.parametrize("bottom_bc", ["free_drainage", "no_flux"])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_matches_iterated_galerkin_step(self, name, bottom_bc, with_roots):
+        # Random clusters cross the quadrant soil zones, so clusters split
+        # into groups; the coarse graph must give U^T f(U xi) exactly.
+        model = self.model(name, bottom_bc, with_roots)
+        rng = np.random.default_rng(len(name))
+        u = random_partition(model.n_states, 9, rng)
+        reduced = ReducedModel(model, u)
+        xi = reduce_state(u, rng.uniform(-14.0, -3.0, (3, model.n_states)))
+        for surface, forcing in field_inputs(model.grid, 3):
+            want = galerkin_reference(model, u, xi, surface, forcing, 1800.0)
+            got = reduced.step(xi, surface, forcing, 1800.0)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(want - xi).max() > 1e-6 * np.abs(want).max()  # the states do move
+            # each batch row equals its single-state call bit for bit
+            assert all(np.array_equal(row, reduced.step(x, surface, forcing, 1800.0)) for row, x in zip(got, xi))
+            xi = want
+
+    def test_identity_projection_is_the_full_step(self, desk_grid):
+        model = FullModel(desk_grid, VanGenuchtenParams.from_zones(desk_grid.quadrant_of_node(), DESK_ZONES),
+                          roots=RootUptake(root_depth=0.3, h_wilting=-16.0), substeps=24)
+        reduced = ReducedModel(model, build_projection(Clustering.singletons(desk_grid.n_nodes)))
+        x = np.random.default_rng(3).uniform(-14.0, -3.0, (4, desk_grid.n_nodes))
+        for surface, forcing in field_inputs(desk_grid, 2):
+            assert np.array_equal(reduced.step(x, surface, forcing, 1800.0), model.step(x, surface, forcing, 1800.0))
+            assert np.array_equal(reduced.step(x[1], surface, forcing, 1800.0),
+                                  model.step(x[1], surface, forcing, 1800.0))
+            x = model.step(x, surface, forcing, 1800.0)
+
+    def test_permuted_singletons_take_the_coarse_path(self, monkeypatch):
+        model = self.model("desk")
+        n = model.n_states
+        rng = np.random.default_rng(8)
+        u = build_projection(Clustering(rng.permutation(n), n))
+        reduced = ReducedModel(model, u)
+        xi = reduce_state(u, rng.uniform(-14.0, -3.0, n))
+        surface, forcing = field_inputs(model.grid, 1)[0]
+        want = galerkin_reference(model, u, xi, surface, forcing, 1800.0)
+        monkeypatch.setattr(FullModel, "step", lambda *a, **k: pytest.fail("full-model step on the coarse path"))
+        got = reduced.step(xi, surface, forcing, 1800.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_bad_reduced_states_raise_as_full_steps_do(self, small_grid, loam):
+        u = build_projection(Clustering(np.arange(small_grid.n_nodes) % 7, 7))
+        reduced = ReducedModel(FullModel(small_grid, loam, substeps=4), u)
+        inputs = (SurfaceInput.idle(small_grid.n_r), StepForcing())
+        for bad in (np.nan, np.inf):
+            xi = np.full(7, -10.0)
+            xi[3] = bad
+            with pytest.raises(NonFiniteState):
+                reduced.step(xi, *inputs, 900.0)
+        for shape in ((6,), (2, 8), (2, 1, 7)):
+            with pytest.raises(DimensionMismatch):
+                reduced.step(np.full(shape, -10.0), *inputs, 900.0)
+        with pytest.raises(DimensionMismatch):
+            reduced.step(np.full(7, -10.0), SurfaceInput.idle(small_grid.n_r + 1), StepForcing(), 900.0)
+        with pytest.raises(ValidationError):
+            reduced.step(np.full(7, -10.0), *inputs, 0.0)
+
+    def test_diverging_lifted_heads_raise_unstable_step(self, loam):
+        # two sub-steps of 900 s are too few where wet clusters border dry ones
+        grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
+        model = FullModel(grid, loam, substeps=2)
+        x = np.where(np.arange(grid.n_nodes) % 7 < 3, -0.01, -20.0)
+        inputs = (SurfaceInput.idle(grid.n_r), StepForcing(), 1800.0)
+        with pytest.raises(UnstableStep):
+            model.step(x, *inputs)
+        with pytest.raises(UnstableStep):
+            ReducedModel(model, u).step(reduce_state(u, x), *inputs)
+
+    @pytest.mark.parametrize("dense, fault", [
+        (lambda u: np.linalg.qr(np.random.default_rng(1).normal(size=u.shape))[0], "row 0 has 7 nonzeros"),
+        (lambda u: u + sp.csr_matrix(([0.5], ([4], [(u.indices[4] + 1) % 7])), shape=u.shape),
+         "row 4 has 2 nonzeros"),
+        (lambda u: u[:, :6], "row 6 has 0 nonzeros"),
+        (lambda u: u.multiply(np.arange(1.0, u.shape[0] + 1)[:, None]).tocsr(), "more than one weight"),
+        (lambda u: sp.hstack([u, sp.csr_matrix((u.shape[0], 1))]).tocsr(), "a column holds no node"),
+    ], ids=["dense", "two-in-a-row", "empty-row", "mixed-weights", "empty-column"])
+    def test_non_cluster_projection_rejected(self, small_model, dense, fault):
+        u = build_projection(Clustering(np.arange(small_model.n_states) % 7, 7))
+        with pytest.raises(ValidationError, match=f"not a cluster projection: .*{fault}"):
+            ReducedModel(small_model, dense(u))
+        with pytest.raises(DimensionMismatch):
+            ReducedModel(small_model, u[:-1])

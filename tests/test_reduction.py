@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotflow import (
     Clustering,
@@ -61,6 +63,22 @@ def reference_average_linkage(data, th_c):
     for cid, members in enumerate(clusters):
         assignment[members] = cid
     return assignment, len(clusters)
+
+
+def one_block_average_linkage(data, th_c):
+    """cluster_trajectories' partition from one scipy linkage over all nodes, no block split."""
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
+    data = np.asarray(data, dtype=float)
+    if data.shape[1] < 2:
+        return np.zeros(data.shape[1], dtype=int)
+    tree = linkage(pdist(data.T), method="average")
+    labels = fcluster(tree, np.nextafter(th_c, -np.inf), criterion="distance")
+    _, first = np.unique(labels, return_index=True)
+    ids = np.empty(labels.max() + 1, dtype=int)
+    ids[labels[np.sort(first)]] = np.arange(first.size)
+    return ids[labels]
 
 
 class TestSnapshots:
@@ -204,6 +222,82 @@ class TestClustering:
         assert np.array_equal(c.assignment, [0, 1, 1, 0])
         assert merge_log(data, 1.01) == ((0, 3, 0.0), (1, 2, 1.0))
         assert np.array_equal(reference_average_linkage(data, 1.01)[0], [0, 0, 1, 0])
+
+    @pytest.mark.parametrize("n_times", [2, 33, 51])
+    def test_pair_just_below_threshold_is_not_split(self, n_times):
+        from scipy.spatial.distance import pdist
+
+        # b - a is c times the ones vector up to rounding, so the pair's projection
+        # gap equals its distance; with the distance one or two ulps below th_c
+        # the rounded gap often reaches th_c, and a cut at gap >= th_c would
+        # split a pair that merges.
+        rng = np.random.default_rng(n_times)
+        naive_splits = 0
+        for _ in range(300):
+            a = rng.uniform(-14.0, -0.5, n_times)
+            b = a + 0.3 / np.sqrt(n_times) * rng.uniform(0.9, 1.1)
+            data = np.stack([a, b, a + 50.0], axis=1)
+            th_c = pdist(np.stack([a, b]))[0]
+            for _ in range(rng.integers(1, 3)):
+                th_c = np.nextafter(th_c, np.inf)
+            root = np.sqrt(n_times)
+            naive_splits += abs(b.sum() / root - a.sum() / root) >= th_c
+            expected = one_block_average_linkage(data, th_c)
+            assert np.array_equal(expected, [0, 0, 1])
+            assert np.array_equal(cluster_trajectories(SnapshotMatrix(data), th_c).assignment, expected)
+        assert naive_splits > 0
+
+    def test_distance_bound_overflow_rejected(self):
+        # 1e200 and -1e200 fall in different blocks, so their distance is never
+        # computed; in the triangle no pair's squared distance overflows. In
+        # both the bound sqrt(sum_t ptp_t^2) on every distance overflows.
+        for data in ([[1e200, -1e200, 0.0]], np.array([[0.0, 1.0, 0.5], [0.5, 0.0, 1.0]]) * 1.1e154):
+            with pytest.raises(NonFiniteState):
+                cluster_trajectories(SnapshotMatrix(data), 1.0)
+
+    def test_separated_groups_never_link_all_nodes(self, monkeypatch):
+        import scipy.spatial.distance
+
+        sizes = []
+        pdist = scipy.spatial.distance.pdist
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", lambda x: (sizes.append(len(x)), pdist(x))[1])
+        rng = np.random.default_rng(3)
+        data = np.concatenate([rng.normal(0.0, 0.01, (6, 10)), rng.normal(40.0, 0.01, (6, 12))], axis=1)
+        data = data[:, rng.permutation(22)]
+        c = cluster_trajectories(SnapshotMatrix(data), 1.0)
+        assert sorted(sizes) == [10, 12]
+        assert c.n_clusters == 2
+        assert np.array_equal(c.assignment, one_block_average_linkage(data, 1.0))
+
+
+@st.composite
+def planted_groups(draw):
+    """(time x nodes) trajectories of planted groups whose centers sit about th_c apart, and th_c.
+
+    Successive centers step a random direction, or the ones vector that the
+    block split projects on, so that projection gaps also land near th_c.
+    """
+    th_c = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    n_times = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    spacing = draw(st.floats(0.5, 2.0)) * th_c
+    noise = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])) * th_c
+    along_ones = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = np.ones((len(sizes), n_times)) if along_ones else rng.normal(size=(len(sizes), n_times))
+    steps *= rng.choice([-1.0, 1.0], (len(sizes), 1)) * rng.uniform(0.8, 1.2, (len(sizes), 1))
+    centers = rng.uniform(-14.0, -0.5, n_times) + spacing * np.cumsum(
+        steps / np.linalg.norm(steps, axis=1, keepdims=True), axis=0)
+    cols = [center + rng.normal(0.0, noise, n_times) for center, size in zip(centers, sizes) for _ in range(size)]
+    return np.array(cols).T[:, rng.permutation(len(cols))], th_c
+
+
+@given(planted_groups())
+@settings(max_examples=200, deadline=None)
+def test_block_split_matches_one_block_linkage(case):
+    data, th_c = case
+    c = cluster_trajectories(SnapshotMatrix(data), th_c)
+    assert np.array_equal(c.assignment, one_block_average_linkage(data, th_c))
 
 
 def test_import_leaves_scipy_cluster_unloaded():

@@ -52,6 +52,7 @@ from .richards import (
     SurfaceInput,
     WaterBudget,
     observe,
+    sink_scale,
     sink_term,
 )
 from .runner import (

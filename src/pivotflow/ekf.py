@@ -40,12 +40,13 @@ from .reduction import (
 SCHEMES = ("performance", "static", "time-triggered")
 
 # Steps filtered ahead under one model whose e_L windows then run as one batch.
-# Measured on the benchmark's desk-shift workload (seed 1, 720 nodes, n_fd 32,
-# OMP_NUM_THREADS=1, 2-core VM), estimate_s / peak RSS by look-ahead:
-# 1: 43.8 s / 76.1 MB, 4: 26.9 s / 76.2 MB, 8: 23.6 s / 77.7 MB,
-# 16: 24.8 s / 78.9 MB, 32: 23.9 s / 86.4 MB. Past 8 the time stays flat and
-# the memory of the live windows grows.
-_LOOKAHEAD = 8
+# With lock-step windows a block of W windows makes n_fd full calls of W rows,
+# so a wider block spreads each call's fixed cost over more rows. Measured on
+# the benchmark's desk-shift workload (720 nodes, n_fd 32, 2-core VM; seeds
+# 1-3), estimate_s / peak RSS by look-ahead: 8: 4.82 s / 74.9 MB, 16: 4.23 s /
+# 77.1 MB, 32: 3.95 s / 81.1 MB (medians). 32 gains little more than 16 and
+# holds 8 % more memory than 8, close to the benchmark's 10 % bound on it.
+_LOOKAHEAD = 16
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,11 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     ``x_hat_full`` is a (W, n) batch of start states, one per window, and
     ``offsets`` their ascending clock ticks; an array of W gaps is returned.
     Window w runs over ``inputs[offsets[w]:offsets[w] + horizon]``, where
-    ``horizon = len(inputs) - offsets[-1]``. At each tick the full rows of
-    every live window step in one call and their reduced rows in another,
-    since they all take that tick's input; each gap equals a single-window
-    call bit for bit.
+    ``horizon = len(inputs) - offsets[-1]``. The windows advance in lock
+    step on their own local ticks: at local tick j one full call steps all W
+    rows, row w with ``inputs[offsets[w] + j]``, and one reduced call does
+    the same, so a call of W rows is made ``horizon`` times per model. Each
+    gap equals a single-window call bit for bit.
     """
     model, projection = reduced.full, reduced.projection
     starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
@@ -247,13 +249,10 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     red_traj = np.empty((ticks.size, horizon + 1, reduced.order))
     full_traj[:, 0] = starts
     red_traj[:, 0] = reduce_state(projection, starts)
-    for t, (surface, forcing) in enumerate(inputs):
-        live = np.flatnonzero((ticks <= t) & (t - ticks < horizon))
-        if not live.size:
-            continue
-        at = t - ticks[live]
-        full_traj[live, at + 1] = model.step(full_traj[live, at], surface, forcing, dt)
-        red_traj[live, at + 1] = reduced.step(red_traj[live, at], surface, forcing, dt)
+    for j in range(horizon):
+        surfaces, forcings = zip(*(inputs[t + j] for t in ticks))
+        full_traj[:, j + 1] = model.step(full_traj[:, j], surfaces, forcings, dt)
+        red_traj[:, j + 1] = reduced.step(red_traj[:, j], surfaces, forcings, dt)
     # one contiguous (horizon, n) gap array per window keeps the summation order
     return np.array([np.abs(lift_state(projection, red)[1:] - full[1:]).sum() / model.n_states
                      for full, red in zip(full_traj, red_traj)])
@@ -340,9 +339,10 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
 
     The steps run in blocks of up to ``_LOOKAHEAD``. A block filters ahead
     under the model of its first step, stopping before a step whose trigger
-    fires on schedule; evaluates the e_L windows of its steps in one batched
-    call; then walks its steps in order, recording e_L and testing the next
-    step's trigger. Where the performance trigger fires, the rest of the
+    fires on schedule; evaluates the e_L windows of its steps in one
+    ``compute_error_metric`` call, which advances them in lock step, each on
+    its own inputs; then walks its steps in order, recording e_L and testing
+    the next step's trigger. Where the performance trigger fires, the rest of the
     block is discarded and the next block opens at that step, so every
     result equals a one-step-at-a-time run.
 
@@ -429,7 +429,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
                 spent.append(now - clock)
                 clock = now
 
-            # 2. the e_L windows of the block, stepped on one shared input clock
+            # 2. the e_L windows of the block, advanced in lock step, each on its own inputs
             offsets = [i for i, (fired, *_) in enumerate(block)
                        if fired or cfg.stride <= 1 or (k + i) % cfg.stride == 0]
             gaps = {}

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
-from .richards import FullModel, _stencil, _surface_flux, root_weight, stress_factor
+from .richards import FullModel, _stencil, _surface_flux, _uptake_scale, root_weight, stress_factor
 from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 
@@ -310,8 +310,10 @@ class ReducedModel:
         the Galerkin-projected dynamics. Per sub-step it evaluates the soil
         closures once per group and one flux per group pair, and it raises
         ``UnstableStep`` when a lifted head leaves |h| <= 1e6, as
-        ``FullModel.step`` does. ``xi`` may also be a (B, order) batch; each
-        row equals a single-state step bit for bit.
+        ``FullModel.step`` does. ``xi`` may also be a (B, order) batch, with
+        inputs shared by every row or one per row as ``FullModel.step``
+        takes them; each row equals a single-state step with its own inputs
+        bit for bit.
 
         When U is exactly the identity the coarse graph is the grid itself
         and the map is the full model's, so the full model steps xi: the
@@ -329,16 +331,18 @@ class ReducedModel:
         full = self.full
         grid = full.grid
         n_groups, order = graph.cluster.size, self.order
-        inflow = np.bincount(graph.surface, weights=(_surface_flux(surface, forcing, grid) / grid.dz).ravel(),
-                             minlength=n_groups)
-        demand = forcing.k_c * forcing.et
-        sink = graph.roots * -demand if full.roots is not None and demand != 0.0 else None
         sub = dt / full.substeps
         out = xi.reshape(-1, order).copy()
         rows = out.shape[0]
-        # bincount scatters each row's pairs into its groups and groups into its
-        # clusters in a fixed order, so a row's sums do not depend on the batch
-        to_group = (np.arange(rows)[:, None] * n_groups + graph.src).ravel()
+        # bincount scatters each row's cells and pairs into its groups and its
+        # groups into its clusters in a fixed order, so a row's sums do not
+        # depend on the batch
+        offset = np.arange(rows)[:, None] * n_groups
+        inflow = np.bincount((offset + graph.surface).ravel(),
+                             weights=(_surface_flux(surface, forcing, grid, rows) / grid.dz).ravel(),
+                             minlength=rows * n_groups).reshape(rows, n_groups)
+        sink = None if full.roots is None else _uptake_scale(graph.roots, forcing)
+        to_group = (offset + graph.src).ravel()
         to_cluster = (np.arange(rows)[:, None] * order + graph.cluster).ravel()
         for _ in range(full.substeps):
             h = out.take(graph.cluster, axis=1)

@@ -149,30 +149,75 @@ def _stencil(grid: CylindricalGrid):
     return parts
 
 
-def sink_term(x, grid: CylindricalGrid, forcing: StepForcing, roots: RootUptake | None, out=None):
+def sink_scale(grid: CylindricalGrid, forcing, roots: RootUptake | None):
+    """Per-node uptake factor root_weight * -K_c * ET [1/s] of one sampling interval.
+
+    ``forcing`` is one ``StepForcing`` shared by every state, giving an
+    (n_nodes,) factor, or a sequence with one per row of a batch, giving
+    (B, n_nodes). None without roots or when no row has demand.
+    """
+    return None if roots is None else _uptake_scale(root_weight(grid, roots.root_depth), forcing)
+
+
+def _uptake_scale(weight, forcing):
+    """``weight`` * -K_c * ET: weight's shape for one forcing, (B,) + weight's for one per row.
+
+    None when no row has demand. A row without demand gets +0.0, the sink of
+    a call without demand, never the -0.0 of ``weight * -0.0``, which would
+    flip the sign of a zero rate.
+    """
+    forcings = _per_row(forcing, StepForcing, None)
+    demand = forcing.k_c * forcing.et if forcings is None else np.array([[f.k_c * f.et] for f in forcings])
+    if not np.any(demand):
+        return None
+    return weight * np.subtract(0.0, demand)
+
+
+def sink_term(x, roots: RootUptake, scale, out=None):
     """Root water extraction S [1/s] per node (<= 0), flat-index order.
 
-    Total extraction integrates to beta-weighted K_c * ET over the field
-    surface; uniform root density down to root_depth. ``x`` may also be a
+    S = beta(x) * scale with ``scale`` from ``sink_scale``, so total
+    extraction integrates to beta-weighted K_c * ET over the field surface,
+    with uniform root density down to root_depth. ``x`` may also be a
     (B, n_nodes) batch of states; ``out``, an array of x's shape, receives S.
+    A ``scale`` of None gives S = 0.
     """
     x = np.asarray(x, dtype=float)
     s = np.empty(x.shape) if out is None else out
-    demand = forcing.k_c * forcing.et
-    if roots is None or demand == 0.0:
+    if scale is None:
         s.fill(0.0)
         return s
     stress_factor(x, roots, out=s)
-    s *= root_weight(grid, roots.root_depth) * -demand
+    s *= scale
     return s
 
 
-def _surface_flux(surface: SurfaceInput, forcing: StepForcing, grid: CylindricalGrid) -> np.ndarray:
-    """Infiltration flux [m/s] into each surface cell (n_r, n_theta): rain plus the pivot sector's rates."""
-    if surface.u.size != grid.n_r:
-        raise DimensionMismatch(f"surface input has {surface.u.size} rates, expected {grid.n_r}")
-    q_in = np.full((grid.n_r, grid.n_theta), forcing.rain, dtype=float)
-    q_in[:, surface.active_sector % grid.n_theta] += surface.u
+def _per_row(value, kind, rows: int | None):
+    """``value`` as a list with one entry per row, or None for a single ``kind`` shared by every row."""
+    if isinstance(value, kind):
+        return None
+    value = list(value)
+    if rows is not None and len(value) != rows:
+        raise DimensionMismatch(f"{len(value)} {kind.__name__} values, expected one per state row ({rows})")
+    return value
+
+
+def _surface_flux(surface, forcing, grid: CylindricalGrid, rows: int) -> np.ndarray:
+    """Infiltration flux [m/s] into each surface cell: rain plus the pivot sector's rates.
+
+    Returns (rows, n_r, n_theta). ``surface`` and ``forcing`` are each one
+    input shared by every row or a sequence with one per row; a wrong number
+    raises ``DimensionMismatch``.
+    """
+    surfaces = _per_row(surface, SurfaceInput, rows) or [surface] * rows
+    forcings = _per_row(forcing, StepForcing, rows) or [forcing] * rows
+    for s in surfaces:
+        if s.u.size != grid.n_r:
+            raise DimensionMismatch(f"surface input has {s.u.size} rates, expected {grid.n_r}")
+    n_r, n_t = grid.n_r, grid.n_theta
+    q_in = np.repeat(np.array([f.rain for f in forcings], dtype=float), n_r * n_t).reshape(rows, n_r, n_t)
+    sectors = [[s.active_sector % n_t] for s in surfaces]
+    q_in[np.arange(rows)[:, None], np.arange(n_r), sectors] += np.stack([s.u for s in surfaces])
     return q_in
 
 
@@ -235,10 +280,12 @@ class FullModel:
     def n_states(self) -> int:
         return self.grid.n_nodes
 
-    def _rates(self, h, q_in, forcing, work):
+    def _rates(self, h, inflow, scale, work):
         """dh/dt of a (B, n_nodes) batch into ``work.rate``, with the parts water accounting reads.
 
-        Returns (dh/dt, bottom drainage flux (B, n_r, n_theta), sink S).
+        ``inflow`` is the surface flux over dz, (B, n_r, n_theta), and
+        ``scale`` the ``sink_scale`` of the interval; both are built once per
+        call. Returns (dh/dt, bottom drainage flux (B, n_r, n_theta), sink S).
         """
         grid = self.grid
         n_r, n_t, n_z = grid.n_r, grid.n_theta, grid.n_z
@@ -265,7 +312,7 @@ class FullModel:
             np.add(kf[1:], kf[:-1], out=top[:-1])
             top[:-1] *= df[:-1]
         top3 = work.face.reshape(rows, n_r, n_t, n_z)
-        top3[..., -1] = q_in / grid.dz
+        top3[..., -1] = inflow
         np.subtract(top[1:], top[:-1], out=rate.reshape(-1)[1:])
         k3, rate3 = k.reshape(top3.shape), rate.reshape(top3.shape)
         # unit-gradient drainage K(h_bottom), or no flux
@@ -309,7 +356,7 @@ class FullModel:
             d_t *= azimuthal
             rate2 += d_t
 
-        sink = sink_term(h, grid, forcing, self.roots, out=work.sink)
+        sink = sink_term(h, self.roots, scale, out=work.sink)
         rate += sink
         rate /= c_eff
         return rate, g_bottom, sink
@@ -324,20 +371,27 @@ class FullModel:
         return x
 
     def rhs(self, x, surface, forcing):
-        """Time derivative dx/dt [m/s] of one state (n_nodes,) or a batch (B, n_nodes), flat-index order."""
+        """Time derivative dx/dt [m/s] of one state (n_nodes,) or a batch (B, n_nodes), flat-index order.
+
+        The inputs are shared or per row, as for ``step``.
+        """
         x = self._check(x)
-        h = x.reshape(-1, self.grid.n_nodes)
-        rate, _, _ = self._rates(h, _surface_flux(surface, forcing, self.grid), forcing,
-                                 _Workspace(h.shape, self.grid))
+        grid = self.grid
+        h = x.reshape(-1, grid.n_nodes)
+        inflow = _surface_flux(surface, forcing, grid, h.shape[0]) / grid.dz
+        scale = sink_scale(grid, forcing, self.roots)
+        rate, _, _ = self._rates(h, inflow, scale, _Workspace(h.shape, grid))
         return rate.reshape(x.shape)
 
     def step(self, x, surface, forcing, dt, budget=None):
         """Advance the state by dt with explicit Euler over fixed equal sub-steps.
 
         ``x`` may be one state (n_nodes,) or a batch (B, n_nodes) of independent
-        states that share the inputs; each row gets exactly the values a
-        single-state call would give it. ``budget`` accumulates one state's
-        boundary and sink volumes.
+        states. ``surface`` and ``forcing`` are each one input shared by every
+        row, or a sequence of B inputs, one per row; a wrong count raises
+        ``DimensionMismatch``. Each row gets exactly the values a single-state
+        call with its own inputs would give it. ``budget`` accumulates one
+        state's boundary and sink volumes.
         """
         if not dt > 0:
             raise ValidationError("dt must be > 0")
@@ -345,15 +399,17 @@ class FullModel:
         if budget is not None and x.ndim != 1:
             raise ValidationError("a water budget is kept for one state at a time")
         grid = self.grid
-        q_in = _surface_flux(surface, forcing, grid)
-        sub = dt / self.substeps
         h = x.reshape(-1, grid.n_nodes).copy()
+        q_in = _surface_flux(surface, forcing, grid, h.shape[0])
+        inflow = q_in / grid.dz
+        scale = sink_scale(grid, forcing, self.roots)
+        sub = dt / self.substeps
         work = _Workspace(h.shape, grid)
         if budget is not None:
             area = grid.column_area()
             volume = grid.cell_volumes()
         for _ in range(self.substeps):
-            rate, g_bottom, sink = self._rates(h, q_in, forcing, work)
+            rate, g_bottom, sink = self._rates(h, inflow, scale, work)
             rate *= sub
             h += rate
             # |h| beyond any physical suction (or NaN) means the explicit update diverged
@@ -362,7 +418,7 @@ class FullModel:
                     f"state diverged after a sub-step of {sub:g} s; increase substeps"
                 )
             if budget is not None:
-                budget.inflow += float(np.sum(q_in * area)) * sub
+                budget.inflow += float(np.sum(q_in[0] * area)) * sub
                 budget.drainage += float(np.sum(g_bottom * area)) * sub
                 budget.extraction += float(np.sum(-sink.reshape(volume.shape) * volume)) * sub
         return h.reshape(x.shape)

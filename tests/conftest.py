@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pivotflow import CylindricalGrid, FullModel, VanGenuchtenParams
+from pivotflow import CylindricalGrid, FullModel, StepForcing, SurfaceInput, VanGenuchtenParams
 
 LOAM = VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6)
 
@@ -68,3 +68,15 @@ def simulate_reduced(reduced, xi0, inputs, dt):
     for j, (surface, forcing) in enumerate(inputs):
         out[j + 1] = reduced.step(out[j], surface, forcing, dt)
     return out
+
+
+def row_inputs(grid):
+    """Four rows of (surface, forcing) inputs that differ in active sector, irrigation rate and rain.
+
+    Row 2 has no crop demand (k_c * et = 0) while the others have some.
+    """
+    surfaces = [SurfaceInput(np.full(grid.n_r, rate), sector)
+                for rate, sector in ((1e-7, 0), (4e-7, grid.n_theta - 1), (0.0, 2), (2e-7, grid.n_theta // 2))]
+    forcings = [StepForcing(et=2e-8, k_c=0.5, rain=1e-8), StepForcing(et=3e-8, k_c=1.1),
+                StepForcing(et=4e-8, k_c=0.0, rain=2e-8), StepForcing(et=1e-8, k_c=0.8, rain=5e-9)]
+    return surfaces, forcings

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The shift-scenario runs (criteria 5 and 6) are shared through a
 session fixture and take most of the suite's time: on a 2-core machine
-with one BLAS thread, criterion 5 took 20-33 s of its 600 s, criterion 6
-60-92 s of its 1200 s, and the whole tier-1 suite 81-137 s (the spread is
+with one BLAS thread, criterion 5 took 21 s of its 600 s, criterion 6
+55-62 s of its 1200 s, and the whole tier-1 suite 87 s (these vary with
 the shared host's load).
 """
 

@@ -340,8 +340,9 @@ class TestErrorMetric:
         assert compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0] == want
 
     def test_batched_windows_equal_single_windows(self, loam, monkeypatch):
-        # Windows at ticks 0, 2 and 3 overlap; the one at 9 starts after the
-        # others have ended, so ticks 7-8 have no live window and make no call.
+        # Windows at ticks 0, 2 and 3 overlap and the one at 9 starts after
+        # the others have ended; all four advance in lock step on their own
+        # local ticks, so each model makes `horizon` calls of four rows.
         from pivotflow import CylindricalGrid, RootUptake
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
@@ -356,12 +357,14 @@ class TestErrorMetric:
         singles = [compute_error_metric(reduced, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
                    for o, x0 in zip(offsets, starts)]
 
-        calls = []
-        step = FullModel.step
+        calls, reduced_calls = [], []
+        step, reduced_step = FullModel.step, ReducedModel.step
         monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
+        monkeypatch.setattr(ReducedModel, "step",
+                            lambda self, x, *a: reduced_calls.append(len(x)) or reduced_step(self, x, *a))
         gaps = compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
         assert gaps.tolist() == singles
-        assert calls == [1, 1, 2, 3, 2, 2, 1, 1, 1, 1, 1]  # one full row per live window
+        assert calls == reduced_calls == [len(offsets)] * horizon
 
     def test_batched_offsets_checked(self, small_model):
         reduced = ReducedModel(small_model, build_projection(Clustering.singletons(small_model.n_states)))

@@ -31,7 +31,7 @@ from pivotflow import (
     lift_state,
     reduce_state,
 )
-from conftest import hydrostatic_state, merge_log, simulate_reduced
+from conftest import hydrostatic_state, merge_log, row_inputs, simulate_reduced
 
 
 def reference_average_linkage(data, th_c):
@@ -491,6 +491,23 @@ class TestCoarseStep:
             # each batch row equals its single-state call bit for bit
             assert all(np.array_equal(row, reduced.step(x, surface, forcing, 1800.0)) for row, x in zip(got, xi))
             xi = want
+
+    @pytest.mark.parametrize("with_roots", [True, False], ids=["roots", "no-roots"])
+    def test_per_row_inputs_equal_single_steps(self, with_roots):
+        # Rows differ in active sector, irrigation rate and rain, and row 2
+        # has no crop demand; each row equals its single-state call bit for bit.
+        model = self.model("desk", with_roots=with_roots)
+        rng = np.random.default_rng(11)
+        u = random_partition(model.n_states, 9, rng)
+        reduced = ReducedModel(model, u)
+        xi = reduce_state(u, rng.uniform(-14.0, -3.0, (4, model.n_states)))
+        surfaces, forcings = row_inputs(model.grid)
+        got = reduced.step(xi, surfaces, forcings, 1800.0)
+        for row, x, surface, forcing in zip(got, xi, surfaces, forcings):
+            assert row.tobytes() == reduced.step(x, surface, forcing, 1800.0).tobytes()
+        for surface, forcing in ((surfaces[:3], forcings), (surfaces, forcings * 2), (surfaces[0], forcings[1:])):
+            with pytest.raises(DimensionMismatch, match=r"expected one per state row \(4\)"):
+                reduced.step(xi, surface, forcing, 1800.0)
 
     def test_identity_projection_is_the_full_step(self, desk_grid):
         model = FullModel(desk_grid, VanGenuchtenParams.from_zones(desk_grid.quadrant_of_node(), DESK_ZONES),

@@ -20,12 +20,13 @@ from pivotflow import (
     WaterBudget,
     hydraulic_conductivity,
     observe,
+    sink_scale,
     sink_term,
     water_content,
 )
 from pivotflow.scenario import config_from_dict, default_sensor_layers, sensor_lattice
 
-from conftest import hydrostatic_state
+from conftest import hydrostatic_state, row_inputs
 
 IDLE = StepForcing()
 
@@ -40,7 +41,7 @@ class TestSink:
     def test_zero_demand_gives_zero_sink(self, desk_grid):
         roots = RootUptake(root_depth=0.3)
         h = np.full(desk_grid.n_nodes, -5.0)
-        s = sink_term(h, desk_grid, StepForcing(et=0.0, k_c=1.0), roots)
+        s = sink_term(h, roots, sink_scale(desk_grid, StepForcing(et=0.0, k_c=1.0), roots))
         assert np.all(s == 0.0)
 
     def test_extraction_integrates_to_crop_demand(self, desk_grid):
@@ -48,7 +49,7 @@ class TestSink:
         roots = RootUptake(root_depth=0.3, h_field_capacity=-3.3)
         h = np.full(desk_grid.n_nodes, roots.h_field_capacity)
         forcing = StepForcing(et=4e-8, k_c=0.9)
-        s = sink_term(h, desk_grid, forcing, roots)
+        s = sink_term(h, roots, sink_scale(desk_grid, forcing, roots))
         total = (s * desk_grid.flatten(desk_grid.cell_volumes())).sum()
         expected = -forcing.k_c * forcing.et * np.pi * desk_grid.radius**2
         assert total == pytest.approx(expected, rel=1e-10)
@@ -59,14 +60,14 @@ class TestSink:
         roots = RootUptake(root_depth=0.25)
         h = np.full(desk_grid.n_nodes, roots.h_field_capacity)
         forcing = StepForcing(et=3e-8, k_c=1.2)
-        s = sink_term(h, desk_grid, forcing, roots)
+        s = sink_term(h, roots, sink_scale(desk_grid, forcing, roots))
         total = (s * desk_grid.flatten(desk_grid.cell_volumes())).sum()
         assert total == pytest.approx(-forcing.k_c * forcing.et * np.pi * desk_grid.radius**2, rel=1e-10)
 
     def test_no_uptake_below_wilting(self, desk_grid):
         roots = RootUptake(root_depth=0.3, h_wilting=-150.0)
         h = np.full(desk_grid.n_nodes, -200.0)
-        s = sink_term(h, desk_grid, StepForcing(et=4e-8, k_c=1.0), roots)
+        s = sink_term(h, roots, sink_scale(desk_grid, StepForcing(et=4e-8, k_c=1.0), roots))
         assert np.all(s == 0.0)
 
     def test_root_parameters_checked(self, desk_grid, loam):
@@ -82,7 +83,7 @@ class TestSink:
     def test_no_extraction_below_root_zone(self, desk_grid):
         roots = RootUptake(root_depth=0.1)
         h = np.full(desk_grid.n_nodes, roots.h_field_capacity)
-        s = desk_grid.reshape(sink_term(h, desk_grid, StepForcing(et=4e-8, k_c=1.0), roots))
+        s = desk_grid.reshape(sink_term(h, roots, sink_scale(desk_grid, StepForcing(et=4e-8, k_c=1.0), roots)))
         below = desk_grid.z_centers + desk_grid.dz / 2 <= desk_grid.depth - roots.root_depth
         assert np.all(s[:, :, below] == 0.0)
         assert np.any(s[:, :, ~below] < 0.0)
@@ -259,11 +260,46 @@ class TestStep:
         forcing = StepForcing(et=2e-8, k_c=0.5, rain=1e-8)
         batch = model.step(states, surface, forcing, 1800.0)
         rates = model.rhs(states, surface, forcing)
-        sinks = sink_term(states, grid, forcing, model.roots)
+        sinks = sink_term(states, model.roots, sink_scale(grid, forcing, model.roots))
         for b in range(5):
             assert batch[b].tobytes() == model.step(states[b], surface, forcing, 1800.0).tobytes()
             assert rates[b].tobytes() == model.rhs(states[b], surface, forcing).tobytes()
-            assert sinks[b].tobytes() == sink_term(states[b], grid, forcing, model.roots).tobytes()
+            single = sink_term(states[b], model.roots, sink_scale(grid, forcing, model.roots))
+            assert sinks[b].tobytes() == single.tobytes()
+
+    def test_per_row_inputs_equal_single_steps(self, desk_grid, loam):
+        # Each row of one call takes its own inputs and must get the bits of
+        # a single-state call with them; row 2 has no crop demand, so its sink
+        # is the +0.0 of a call without demand, never -0.0.
+        soil = VanGenuchtenParams.from_zones(desk_grid.quadrant_of_node(), [
+            loam, VanGenuchtenParams(alpha=2.0, n_vg=1.41, theta_r=0.095, theta_s=0.41, k_s=1.2e-6),
+        ] * 2)
+        model = FullModel(desk_grid, soil, roots=RootUptake(root_depth=0.3, h_wilting=-16.0), substeps=24)
+        states = np.random.default_rng(6).uniform(-14.0, -1.0, (4, desk_grid.n_nodes))
+        surfaces, forcings = row_inputs(desk_grid)
+        batch = model.step(states, surfaces, forcings, 1800.0)
+        rates = model.rhs(states, surfaces, forcings)
+        sinks = sink_term(states, model.roots, sink_scale(desk_grid, forcings, model.roots))
+        mixed = model.step(states, surfaces[1], forcings, 1800.0)  # one surface shared by every row
+        for b, (surface, forcing) in enumerate(zip(surfaces, forcings)):
+            assert batch[b].tobytes() == model.step(states[b], surface, forcing, 1800.0).tobytes()
+            assert rates[b].tobytes() == model.rhs(states[b], surface, forcing).tobytes()
+            single = sink_term(states[b], model.roots, sink_scale(desk_grid, forcing, model.roots))
+            assert sinks[b].tobytes() == single.tobytes()
+            assert mixed[b].tobytes() == model.step(states[b], surfaces[1], forcing, 1800.0).tobytes()
+        assert not np.signbit(sinks[2]).any()
+        assert np.all(sinks[[0, 1, 3]] <= 0.0) and np.any(sinks[[0, 1, 3]] < 0.0)
+
+    def test_per_row_input_count_is_checked(self, small_model, small_grid):
+        states = np.full((3, small_grid.n_nodes), -6.0)
+        two = [idle_input(small_grid)] * 2
+        for surface, forcing in ((two, IDLE), (idle_input(small_grid), [IDLE] * 4), (two, [IDLE] * 2)):
+            with pytest.raises(DimensionMismatch, match=r"expected one per state row \(3\)"):
+                small_model.step(states, surface, forcing, 900.0)
+            with pytest.raises(DimensionMismatch, match=r"expected one per state row \(3\)"):
+                small_model.rhs(states, surface, forcing)
+        with pytest.raises(DimensionMismatch, match=r"expected one per state row \(1\)"):
+            small_model.step(states[0], two, IDLE, 900.0)
 
     def test_integer_rates_are_accepted(self, small_model, small_grid):
         # StepForcing(rain=0) once made the surface flux an integer array, and

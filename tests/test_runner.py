@@ -13,6 +13,7 @@ from pivotflow import (
     NonFiniteState,
     PivotflowError,
     SingularInnovation,
+    SurfaceInput,
     UnstableStep,
     export_artifacts,
     export_comparison,
@@ -355,16 +356,18 @@ class TestLookahead:
 
     @pytest.mark.parametrize("stride, failing", [(1, 8), (3, 9)])
     def test_error_metric_failure_names_the_same_step(self, stride, failing, monkeypatch):
-        # The full model raises on tick 10's inputs. The first step to reach
-        # that tick is the e_L window of step `failing` (n_fd 3); the filter
-        # reaches it only at step 11, where a look-ahead block meets it first.
+        # The full model raises when any row takes tick 10's inputs. The first
+        # step to reach that tick is the e_L window of step `failing` (n_fd 3);
+        # the filter reaches it only at step 11, where a look-ahead block meets
+        # it first.
         rates = [5e-8] * 10 + [6e-8, 5e-8]
         cfg = config_from_dict(dict(TINY, steps=16, stride=stride, irrigation={"rate": rates}))
         measurements = run_truth(cfg).measurements
         step = FullModel.step
 
         def raises_on_tick_10(model, x, surface, forcing, dt):
-            if surface.u[0] == 6e-8:
+            rows = [surface] if isinstance(surface, SurfaceInput) else surface
+            if any(s.u[0] == 6e-8 for s in rows):
                 raise UnstableStep("state diverged on tick 10")
             return step(model, x, surface, forcing, dt)
 

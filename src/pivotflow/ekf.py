@@ -30,7 +30,6 @@ from .errors import (
 from .grid import CylindricalGrid
 from .reduction import (
     ReducedModel,
-    build_projection,
     cluster_trajectories,
     generate_snapshots,
     lift_state,
@@ -185,16 +184,15 @@ def reconstruct(state: ReducedEkfState) -> np.ndarray:
     return lift_state(state.projection, state.xi)
 
 
-def clamp_estimate(state: ReducedEkfState, ceiling: float) -> ReducedEkfState:
-    """Constrain the estimate so no lifted pressure head exceeds ``ceiling``.
+def clamp_estimate(state: ReducedEkfState, cap) -> ReducedEkfState:
+    """Cap each reduced coordinate: xi_j <- min(xi_j, cap_j).
 
-    Cluster j lifts to the uniform value w_j * xi_j (w_j is the column's
-    single weight), so the constraint is a per-coordinate cap. Covariances
-    are untouched; the cap only engages when a noisy update overshoots the
-    unsaturated range that keeps the explicit stepper stable.
+    ``cap`` is one bound or one per coordinate. Covariances are untouched;
+    the estimator caps the lifted heads at its ceiling, which only engages
+    when a noisy update overshoots the unsaturated range that keeps the
+    explicit stepper stable.
     """
-    col_weight = np.asarray(state.projection.max(axis=0).todense()).ravel()
-    capped = np.minimum(state.xi, ceiling / col_weight)
+    capped = np.minimum(state.xi, cap)
     if np.array_equal(capped, state.xi):
         return state
     return replace(state, xi=capped)
@@ -240,8 +238,8 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     model, projection = reduced.full, reduced.projection
     starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
     ticks = np.asarray(offsets, dtype=int)
-    if ticks.shape != starts.shape[:1] or np.any(np.diff(ticks) < 0) or ticks[0] < 0:
-        raise DimensionMismatch("offsets must be ascending, nonnegative and one per start state")
+    if ticks.size == 0 or ticks.shape != starts.shape[:1] or np.any(np.diff(ticks) < 0) or ticks[0] < 0:
+        raise DimensionMismatch("offsets must be ascending, nonnegative and one per start state, at least one")
     horizon = len(inputs) - ticks[-1]
     if horizon < 1:
         raise ValidationError("error metric needs at least one prediction interval")
@@ -267,8 +265,8 @@ class TriggerState:
     history: deque = field(default_factory=lambda: deque(maxlen=11))
 
     def record(self, e_l: float) -> None:
-        if e_l < 0:
-            raise ValidationError("e_L must be nonnegative")
+        if not 0 <= e_l < np.inf:
+            raise ValidationError(f"e_L must be finite and nonnegative, got {e_l}")
         self.history.append(float(e_l))
 
     @property
@@ -411,18 +409,19 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
                     snapshots = generate_snapshots(
                         model, ahead_x, cfg.estimator_inputs_window(max(s - 1, 0), cfg.n_fd), cfg.delta_s,
                     )
-                    projection = build_projection(cluster_trajectories(snapshots, cfg.th_c))
-                    ahead_model = ReducedModel(model, projection)
+                    ahead_model = ReducedModel(model, cluster_trajectories(snapshots, cfg.th_c))
                     if ahead is None:
-                        ahead = initialize_filter(projection, ahead_x, cfg.ekf, sensors)
+                        ahead = initialize_filter(ahead_model.projection, ahead_x, cfg.ekf, sensors)
                     else:
-                        ahead = transfer_model(ahead, projection, cfg.ekf, sensors, ahead.model_index + 1)
+                        ahead = transfer_model(ahead, ahead_model.projection, cfg.ekf, sensors,
+                                               ahead.model_index + 1)
                 if s > 0:
                     surface, forcing = cfg.estimator_inputs(s - 1)
                     ahead = ekf_predict(ahead, ahead_model, surface, forcing, cfg.delta_s)
                 ahead = ekf_update(ahead, measurements[s], r_cov)
                 if ceiling is not None:
-                    ahead = clamp_estimate(ahead, ceiling)
+                    # cluster j lifts to weight_j * xi_j, so the head ceiling caps each coordinate
+                    ahead = clamp_estimate(ahead, ceiling / ahead_model.weights)
                 ahead_x = reconstruct(ahead)
                 now = perf_counter()
                 block.append((fired, ahead, ahead_x))

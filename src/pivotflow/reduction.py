@@ -3,14 +3,15 @@
 Snapshots of the full model are clustered per node trajectory with
 agglomerative average linkage (scipy's NN-chain algorithm on each block of an
 exact split of the nodes' projections on the ones vector, cut strictly below
-th_c, ids in first-member order), and the resulting partition
-defines an orthonormal projection U whose columns carry weight
-1/sqrt(cluster size). The reduced dynamics are Galerkin per sub-step:
-xi <- xi + dt_sub U^T f(U xi) over the full model's own sub-steps. Because U
-is a cluster projection, U xi is constant on each group of nodes that share
-a cluster and a soil, so U^T f(U xi) is computed exactly from per-group
-values on a coarse graph of the groups, at a cost that grows with the number
-of groups and of group pairs that share a face, not with the grid.
+th_c, ids in first-member order), and the resulting clustering defines the
+reduction: a cluster's nodes share one reduced coordinate, lifted with the
+weight 1/sqrt(cluster size), so the orthonormal projection U has one nonzero
+per row. The reduced dynamics are Galerkin per sub-step: xi <- xi + dt_sub
+U^T f(U xi) over the full model's own sub-steps. U xi is constant on each
+group of nodes that share a cluster and a soil, so U^T f(U xi) is computed
+exactly from per-group values on a coarse graph of the groups, at a cost
+that grows with the number of groups and of group pairs that share a face,
+not with the grid.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class SnapshotMatrix:
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
         if self.data.ndim != 2:
             raise DimensionMismatch("snapshot matrix must be 2-D (time x nodes)")
+        if 0 in self.data.shape:
+            raise ValidationError(f"snapshot matrix has shape {self.data.shape}, needs a time row and a node")
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteState("snapshot matrix contains NaN or infinity")
 
@@ -53,6 +56,8 @@ class Clustering:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", np.asarray(self.assignment, dtype=int))
+        if self.assignment.ndim != 1 or self.assignment.size == 0:
+            raise ValidationError(f"cluster assignment has shape {self.assignment.shape}, expected (n,), n >= 1")
         ids = np.unique(self.assignment)
         if not (ids.size == self.n_clusters and ids[0] == 0 and ids[-1] == self.n_clusters - 1):
             raise ValidationError("cluster ids must form a contiguous range [0, n_clusters)")
@@ -60,6 +65,11 @@ class Clustering:
     @property
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_clusters)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(n_clusters,) weight 1/sqrt(cluster size) with which each cluster's coordinate lifts to its nodes."""
+        return 1.0 / np.sqrt(self.sizes.astype(float))
 
     @classmethod
     def singletons(cls, n_nodes: int) -> "Clustering":
@@ -135,10 +145,9 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
 
 def build_projection(clustering: Clustering) -> sp.csr_matrix:
     """Sparse n_nodes x n_clusters projection with weights 1/sqrt(cluster size)."""
-    n = clustering.assignment.size
     cols = clustering.assignment
-    weights = 1.0 / np.sqrt(clustering.sizes[cols].astype(float))
-    return sp.csr_matrix((weights, (np.arange(n), cols)), shape=(n, clustering.n_clusters))
+    return sp.csr_matrix((clustering.weights[cols], (np.arange(cols.size), cols)),
+                         shape=(cols.size, clustering.n_clusters))
 
 
 def _rows_of(x, size: int, what: str) -> np.ndarray:
@@ -165,44 +174,8 @@ def lift_state(projection: sp.csr_matrix, xi) -> np.ndarray:
     return (projection @ _rows_of(xi, projection.shape[1], "reduced state").T).T
 
 
-def _cluster_partition(projection, n_nodes: int):
-    """(cluster of each node, weight of each column) of a cluster projection, or None for the identity.
-
-    A cluster projection has one nonzero per row and one finite weight per
-    column, and every column holds at least one node; anything else raises
-    ``ValidationError`` naming the fault.
-    """
-    u = sp.coo_matrix(projection)
-    if u.shape[0] != n_nodes:
-        raise DimensionMismatch("projection row count must match the full state size")
-    nonzero = u.data != 0
-    rows, cols, weights = u.row[nonzero], u.col[nonzero], u.data[nonzero]
-    per_row = np.bincount(rows, minlength=n_nodes)
-    if np.any(per_row != 1):
-        i = int(np.argmax(per_row != 1))
-        raise ValidationError(f"not a cluster projection: row {i} has {per_row[i]} nonzeros, expected 1")
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError("not a cluster projection: weights must be finite")
-    cluster = np.empty(n_nodes, dtype=int)
-    cluster[rows] = cols
-    node_weight = np.empty(n_nodes)
-    node_weight[rows] = weights
-    if np.any(np.bincount(cluster, minlength=u.shape[1]) == 0):
-        raise ValidationError("not a cluster projection: a column holds no node")
-    col_weight = np.empty(u.shape[1])
-    col_weight[cluster] = node_weight
-    mixed = col_weight[cluster] != node_weight
-    if mixed.any():
-        raise ValidationError(
-            f"not a cluster projection: column {cluster[np.argmax(mixed)]} has more than one weight"
-        )
-    if u.shape[1] == n_nodes and np.array_equal(cluster, np.arange(n_nodes)) and np.all(col_weight == 1.0):
-        return None
-    return cluster, col_weight
-
-
 class _CoarseGraph(NamedTuple):
-    """The full model's grid seen through a cluster projection.
+    """The full model's grid seen through a clustering.
 
     Node i of group g has the head w_c xi_c of its cluster c and the soil of
     its group, so K, C and beta are constant on a group. A face between
@@ -214,7 +187,7 @@ class _CoarseGraph(NamedTuple):
 
     cluster: np.ndarray     # (G,) cluster of each group
     weight: np.ndarray      # (G,) projection weight w_c of that cluster
-    col_weight: np.ndarray  # (r,) projection weight of each column
+    col_weight: np.ndarray  # (r,) weight of each cluster
     soil: VanGenuchtenParams  # one entry per group
     src: np.ndarray         # (P,) ordered group pairs that share a face
     dst: np.ndarray
@@ -285,23 +258,34 @@ def _coarse_graph(full: FullModel, cluster: np.ndarray, col_weight: np.ndarray) 
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Galerkin reduction of a full model through a fixed cluster projection.
+    """Galerkin reduction of a full model by a fixed clustering of its nodes.
 
-    The coarse graph of the projection is built once, at construction; a
-    projection that is not a cluster projection raises ``ValidationError``.
+    The cluster projection U (``projection``, for the filter) and the coarse
+    graph of the clustering are built once, at construction.
     """
 
     full: FullModel
-    projection: sp.csr_matrix
+    clustering: Clustering
+    projection: sp.csr_matrix = field(init=False, repr=False, compare=False)
     _graph: _CoarseGraph | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        partition = _cluster_partition(self.projection, self.full.n_states)
-        object.__setattr__(self, "_graph", None if partition is None else _coarse_graph(self.full, *partition))
+        cluster, n = self.clustering.assignment, self.full.n_states
+        if cluster.size != n:
+            raise DimensionMismatch(f"clustering covers {cluster.size} nodes, the full model has {n}")
+        object.__setattr__(self, "projection", build_projection(self.clustering))
+        identity = np.array_equal(cluster, np.arange(n))
+        object.__setattr__(self, "_graph",
+                           None if identity else _coarse_graph(self.full, cluster, self.clustering.weights))
 
     @property
     def order(self) -> int:
-        return self.projection.shape[1]
+        return self.clustering.n_clusters
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(order,) weight with which each reduced coordinate lifts to its cluster's nodes."""
+        return self.clustering.weights
 
     def step(self, xi, surface, forcing, dt) -> np.ndarray:
         """Advance xi by dt with xi <- xi + dt_sub U^T f(U xi) over the full model's sub-steps.
@@ -315,10 +299,11 @@ class ReducedModel:
         takes them; each row equals a single-state step with its own inputs
         bit for bit.
 
-        When U is exactly the identity the coarse graph is the grid itself
-        and the map is the full model's, so the full model steps xi: the
-        singleton reduction then equals the full model bit for bit, which
-        the per-group summation order would not give.
+        When every node is its own cluster, in node order, U is the identity,
+        the coarse graph is the grid itself and the map is the full model's,
+        so the full model steps xi: the singleton reduction then equals the
+        full model bit for bit, which the per-group summation order would
+        not give.
         """
         graph = self._graph
         if graph is None:

@@ -74,8 +74,8 @@ def test_criterion_1_oracle_equivalence():
         x_true = model.step(x_true, *inputs[k], 900.0) + rng.normal(0, 1e-4, n)
 
     # filter under test: reduced EKF on the identity (singleton) projection
-    u = build_projection(Clustering.singletons(n))
-    reduced = ReducedModel(model, u)
+    reduced = ReducedModel(model, Clustering.singletons(n))
+    u = reduced.projection
     guess = np.full(n, -7.0)
     state = initialize_filter(u, guess, noise, sensors)
     r_cov = noise.measurement_cov(sensors.size)
@@ -319,9 +319,8 @@ def test_criterion_7_relative_cost():
 
     # full-order EKF on the same fixture: identity projection, same stepper
     model = cfg.estimator_model()
-    u = build_projection(Clustering.singletons(grid.n_nodes))
-    state = initialize_filter(u, cfg.guess_state0(), cfg.ekf, sensors)
-    reduced = ReducedModel(model, u)
+    reduced = ReducedModel(model, Clustering.singletons(grid.n_nodes))
+    state = initialize_filter(reduced.projection, cfg.guess_state0(), cfg.ekf, sensors)
     r_cov = cfg.ekf.measurement_cov(len(sensors))
     times = []
     for k in range(4):

@@ -70,8 +70,8 @@ class TestPredict:
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, substeps=4)
-        u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
-        reduced = ReducedModel(model, u)
+        reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 7, 7))
+        u = reduced.projection
 
         rng = np.random.default_rng(5)
         state = make_state(rng.uniform(-20.0, -8.0, 7), np.eye(7), 0.1 * np.eye(7),
@@ -97,8 +97,8 @@ class TestPredict:
         from pivotflow import CylindricalGrid
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
-        u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
-        reduced = ReducedModel(FullModel(grid, loam, substeps=4), u)
+        reduced = ReducedModel(FullModel(grid, loam, substeps=4), Clustering(np.arange(grid.n_nodes) % 7, 7))
+        u = reduced.projection
         state = make_state(np.full(7, -20.0), np.eye(7), 0.1 * np.eye(7), np.zeros((1, 7)), projection=u)
         full_rows, reduced_rows = [], []
         full_step, reduced_step = FullModel.step, ReducedModel.step
@@ -278,10 +278,11 @@ class TestReconstructAndTransfer:
         assert np.abs(after - u_new @ (u_new.T @ before)).max() < 1e-12
 
     def test_estimate_ceiling_caps_lifted_values(self):
-        u = build_projection(Clustering(np.array([0, 0, 1]), 2))
+        clustering = Clustering(np.array([0, 0, 1]), 2)
+        u = build_projection(clustering)
         state = make_state(np.array([3.0 * np.sqrt(2), -4.0]), np.eye(2), np.eye(2),
                            sensor_output_map(u, [0]), u)
-        capped = clamp_estimate(state, -0.5)
+        capped = clamp_estimate(state, -0.5 / clustering.weights)
         lifted = reconstruct(capped)
         assert lifted.max() <= -0.5 + 1e-12
         assert lifted[2] == pytest.approx(-4.0)  # already-valid cluster untouched
@@ -290,10 +291,10 @@ class TestReconstructAndTransfer:
 class TestErrorMetric:
     def test_singleton_model_gives_zero(self, small_grid, loam):
         model = FullModel(small_grid, loam, substeps=4)
-        u = build_projection(Clustering.singletons(small_grid.n_nodes))
+        singletons = Clustering.singletons(small_grid.n_nodes)
         x0 = np.full(small_grid.n_nodes, -6.0)
         inputs = [(SurfaceInput(np.full(small_grid.n_r, 1e-7), 0), StepForcing(rain=1e-8))] * 4
-        assert compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0] == 0.0
+        assert compute_error_metric(ReducedModel(model, singletons), x0, inputs, 900.0, offsets=[0])[0] == 0.0
 
     def test_matches_naive_double_loop(self, loam):
         from pivotflow import CylindricalGrid
@@ -305,14 +306,14 @@ class TestErrorMetric:
         assignment = rng.integers(0, 4, grid.n_nodes)
         ids = {}
         assignment = np.array([ids.setdefault(int(v), len(ids)) for v in assignment])
-        u = build_projection(Clustering(assignment, len(ids)))
+        reduced = ReducedModel(model, Clustering(assignment, len(ids)))
+        u = reduced.projection
         inputs = [(SurfaceInput(np.full(grid.n_r, 2e-7), k % grid.n_theta), StepForcing(rain=1e-8))
                   for k in range(5)]
-        e = compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0]
+        e = compute_error_metric(reduced, x0, inputs, 900.0, offsets=[0])[0]
         # brute force: simulate both trajectories step by step and accumulate
         x = x0.copy()
         xi = reduce_state(u, x0)
-        reduced = ReducedModel(model, u)
         acc = 0.0
         for surface, forcing in inputs:
             x = model.step(x, surface, forcing, 900.0)
@@ -330,14 +331,15 @@ class TestErrorMetric:
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
         rng = np.random.default_rng(3)
-        u = build_projection(Clustering(np.arange(grid.n_nodes) % 9, 9))
+        reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 9, 9))
+        u = reduced.projection
         x0 = rng.uniform(-12.0, -3.0, grid.n_nodes)
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (j % 2)), j), StepForcing(et=2e-8, k_c=0.5))
                   for j in range(3)]
         full = model.simulate(x0, inputs, 900.0)
-        red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 900.0)
+        red = simulate_reduced(reduced, reduce_state(u, x0), inputs, 900.0)
         want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
-        assert compute_error_metric(ReducedModel(model, u), x0, inputs, 900.0, offsets=[0])[0] == want
+        assert compute_error_metric(reduced, x0, inputs, 900.0, offsets=[0])[0] == want
 
     def test_batched_windows_equal_single_windows(self, loam, monkeypatch):
         # Windows at ticks 0, 2 and 3 overlap and the one at 9 starts after
@@ -348,12 +350,11 @@ class TestErrorMetric:
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
         rng = np.random.default_rng(5)
-        u = build_projection(Clustering(np.arange(grid.n_nodes) % 9, 9))
         offsets, horizon = [0, 2, 3, 9], 4
         starts = rng.uniform(-12.0, -3.0, (len(offsets), grid.n_nodes))
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (t % 3)), t), StepForcing(et=2e-8, k_c=0.5, rain=1e-9 * t))
                   for t in range(offsets[-1] + horizon)]
-        reduced = ReducedModel(model, u)
+        reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 9, 9))
         singles = [compute_error_metric(reduced, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
                    for o, x0 in zip(offsets, starts)]
 
@@ -367,18 +368,20 @@ class TestErrorMetric:
         assert calls == reduced_calls == [len(offsets)] * horizon
 
     def test_batched_offsets_checked(self, small_model):
-        reduced = ReducedModel(small_model, build_projection(Clustering.singletons(small_model.n_states)))
+        reduced = ReducedModel(small_model, Clustering.singletons(small_model.n_states))
         starts = np.full((2, small_model.n_states), -5.0)
         window = [(SurfaceInput(np.zeros(small_model.grid.n_r), 0), StepForcing())] * 3
         with pytest.raises(DimensionMismatch):
             compute_error_metric(reduced, starts, window, 900.0, offsets=[1, 0])
         with pytest.raises(DimensionMismatch):
             compute_error_metric(reduced, starts, window, 900.0, offsets=[0])
+        with pytest.raises(DimensionMismatch, match="at least one"):  # no windows
+            compute_error_metric(reduced, starts[:0], window, 900.0, offsets=[])
         with pytest.raises(ValidationError):
             compute_error_metric(reduced, starts, window, 900.0, offsets=[0, 3])
 
     def test_empty_window_rejected(self, small_model):
-        reduced = ReducedModel(small_model, build_projection(Clustering.singletons(small_model.n_states)))
+        reduced = ReducedModel(small_model, Clustering.singletons(small_model.n_states))
         with pytest.raises(ValidationError):
             compute_error_metric(reduced, np.full(small_model.n_states, -5.0), [], 900.0, offsets=[0])
 
@@ -419,6 +422,14 @@ class TestSlopeEstimate:
         t = TriggerState(th_e=1.0)
         with pytest.raises(ValidationError):
             t.record(-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_metric_rejected(self, bad):
+        # a NaN e_L would make edot_L NaN and silently stop the performance trigger
+        t = TriggerState(th_e=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            t.record(bad)
+        assert len(t.history) == 0
 
 
 class TestNoiseConfig:

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +125,11 @@ class TestSnapshots:
         # finite trajectories whose distance overflows
         with pytest.raises(NonFiniteState):
             cluster_trajectories(SnapshotMatrix([[1e200, -1e200]]), 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_snapshots_without_a_time_row_or_node_rejected(self, shape):
+        with pytest.raises(ValidationError, match="needs a time row and a node"):
+            SnapshotMatrix(np.zeros(shape))
 
 
 class TestClustering:
@@ -314,6 +318,22 @@ def test_import_leaves_scipy_cluster_unloaded():
 
 
 class TestProjection:
+    @pytest.mark.parametrize("make", [
+        lambda: Clustering(np.array([], dtype=int), 0),
+        lambda: Clustering.singletons(0),
+        lambda: Clustering(np.zeros((2, 3), dtype=int), 1),
+        lambda: Clustering(np.int64(0), 1),
+    ], ids=["empty", "no-singletons", "2-D", "0-D"])
+    def test_empty_or_not_1d_assignment_rejected(self, make):
+        with pytest.raises(ValidationError, match="cluster assignment has shape"):
+            make()
+
+    def test_weights_are_the_projection_columns(self):
+        c = Clustering(np.array([0, 1, 0, 2, 0, 1, 0]), 3)
+        assert c.weights.tolist() == [0.5, 1.0 / np.sqrt(2.0), 1.0]
+        u = build_projection(c)
+        assert np.array_equal(np.asarray(u.max(axis=0).todense()).ravel(), c.weights)
+
     def test_singletons_give_identity(self):
         u = build_projection(Clustering.singletons(5))
         assert np.array_equal(u.toarray(), np.eye(5))
@@ -383,8 +403,8 @@ class TestProjection:
 class TestReducedModel:
     def test_singleton_reduction_is_exact(self, small_grid, loam):
         model = FullModel(small_grid, loam, substeps=4)
-        u = build_projection(Clustering.singletons(small_grid.n_nodes))
-        reduced = ReducedModel(model, u)
+        reduced = ReducedModel(model, Clustering.singletons(small_grid.n_nodes))
+        u = reduced.projection
         rng = np.random.default_rng(11)
         x0 = np.full(small_grid.n_nodes, -7.0) + rng.normal(0, 0.3, small_grid.n_nodes)
         inputs = [
@@ -404,9 +424,9 @@ class TestReducedModel:
         # cluster nodes sharing the same depth (same h value in hydrostatic state)
         depth_of = np.unravel_index(np.arange(small_grid.n_nodes),
                                     (small_grid.n_r, small_grid.n_theta, small_grid.n_z))[2]
-        u = build_projection(Clustering(depth_of, small_grid.n_z))
-        xi = reduce_state(u, x0)
-        out = ReducedModel(model, u).step(xi, SurfaceInput.idle(small_grid.n_r), StepForcing(), 1800.0)
+        reduced = ReducedModel(model, Clustering(depth_of, small_grid.n_z))
+        xi = reduce_state(reduced.projection, x0)
+        out = reduced.step(xi, SurfaceInput.idle(small_grid.n_r), StepForcing(), 1800.0)
         assert np.abs(out - xi).max() < 1e-10
 
     def test_uniform_field_one_cluster_matches_full(self, loam):
@@ -415,12 +435,13 @@ class TestReducedModel:
         grid = CylindricalGrid(n_r=5, n_theta=8, n_z=1, radius=3.0, depth=0.1)
         model = FullModel(grid, loam, substeps=8)
         n = grid.n_nodes
-        u = build_projection(Clustering(np.zeros(n, dtype=int), 1))
+        reduced = ReducedModel(model, Clustering(np.zeros(n, dtype=int), 1))
+        u = reduced.projection
         x0 = np.full(n, -5.0)
         inputs = [(SurfaceInput.idle(grid.n_r), StepForcing(rain=1e-7))] * 4
         full = model.simulate(x0, inputs, 1800.0)
         assert np.ptp(full[-1]) == 0.0  # stays uniform
-        red = simulate_reduced(ReducedModel(model, u), reduce_state(u, x0), inputs, 1800.0)
+        red = simulate_reduced(reduced, reduce_state(u, x0), inputs, 1800.0)
         lifted = (u @ red.T).T
         assert np.abs(lifted[-1] - full[-1]).max() < 1e-6 * abs(full[-1]).max()
 
@@ -444,7 +465,7 @@ def galerkin_reference(model, u, xi, surface, forcing, dt):
 def random_partition(n, n_clusters, rng):
     raw = rng.integers(0, n_clusters, size=n)
     ids = {}
-    return build_projection(Clustering(np.array([ids.setdefault(int(a), len(ids)) for a in raw]), len(ids)))
+    return Clustering(np.array([ids.setdefault(int(a), len(ids)) for a in raw]), len(ids))
 
 
 def field_inputs(grid, steps):
@@ -480,8 +501,8 @@ class TestCoarseStep:
         # into groups; the coarse graph must give U^T f(U xi) exactly.
         model = self.model(name, bottom_bc, with_roots)
         rng = np.random.default_rng(len(name))
-        u = random_partition(model.n_states, 9, rng)
-        reduced = ReducedModel(model, u)
+        reduced = ReducedModel(model, random_partition(model.n_states, 9, rng))
+        u = reduced.projection
         xi = reduce_state(u, rng.uniform(-14.0, -3.0, (3, model.n_states)))
         for surface, forcing in field_inputs(model.grid, 3):
             want = galerkin_reference(model, u, xi, surface, forcing, 1800.0)
@@ -498,8 +519,8 @@ class TestCoarseStep:
         # has no crop demand; each row equals its single-state call bit for bit.
         model = self.model("desk", with_roots=with_roots)
         rng = np.random.default_rng(11)
-        u = random_partition(model.n_states, 9, rng)
-        reduced = ReducedModel(model, u)
+        reduced = ReducedModel(model, random_partition(model.n_states, 9, rng))
+        u = reduced.projection
         xi = reduce_state(u, rng.uniform(-14.0, -3.0, (4, model.n_states)))
         surfaces, forcings = row_inputs(model.grid)
         got = reduced.step(xi, surfaces, forcings, 1800.0)
@@ -512,7 +533,7 @@ class TestCoarseStep:
     def test_identity_projection_is_the_full_step(self, desk_grid):
         model = FullModel(desk_grid, VanGenuchtenParams.from_zones(desk_grid.quadrant_of_node(), DESK_ZONES),
                           roots=RootUptake(root_depth=0.3, h_wilting=-16.0), substeps=24)
-        reduced = ReducedModel(model, build_projection(Clustering.singletons(desk_grid.n_nodes)))
+        reduced = ReducedModel(model, Clustering.singletons(desk_grid.n_nodes))
         x = np.random.default_rng(3).uniform(-14.0, -3.0, (4, desk_grid.n_nodes))
         for surface, forcing in field_inputs(desk_grid, 2):
             assert np.array_equal(reduced.step(x, surface, forcing, 1800.0), model.step(x, surface, forcing, 1800.0))
@@ -524,8 +545,8 @@ class TestCoarseStep:
         model = self.model("desk")
         n = model.n_states
         rng = np.random.default_rng(8)
-        u = build_projection(Clustering(rng.permutation(n), n))
-        reduced = ReducedModel(model, u)
+        reduced = ReducedModel(model, Clustering(rng.permutation(n), n))
+        u = reduced.projection
         xi = reduce_state(u, rng.uniform(-14.0, -3.0, n))
         surface, forcing = field_inputs(model.grid, 1)[0]
         want = galerkin_reference(model, u, xi, surface, forcing, 1800.0)
@@ -534,8 +555,8 @@ class TestCoarseStep:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_bad_reduced_states_raise_as_full_steps_do(self, small_grid, loam):
-        u = build_projection(Clustering(np.arange(small_grid.n_nodes) % 7, 7))
-        reduced = ReducedModel(FullModel(small_grid, loam, substeps=4), u)
+        clustering = Clustering(np.arange(small_grid.n_nodes) % 7, 7)
+        reduced = ReducedModel(FullModel(small_grid, loam, substeps=4), clustering)
         inputs = (SurfaceInput.idle(small_grid.n_r), StepForcing())
         for bad in (np.nan, np.inf):
             xi = np.full(7, -10.0)
@@ -553,26 +574,16 @@ class TestCoarseStep:
     def test_diverging_lifted_heads_raise_unstable_step(self, loam):
         # two sub-steps of 900 s are too few where wet clusters border dry ones
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
-        u = build_projection(Clustering(np.arange(grid.n_nodes) % 7, 7))
         model = FullModel(grid, loam, substeps=2)
+        reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 7, 7))
         x = np.where(np.arange(grid.n_nodes) % 7 < 3, -0.01, -20.0)
         inputs = (SurfaceInput.idle(grid.n_r), StepForcing(), 1800.0)
         with pytest.raises(UnstableStep):
             model.step(x, *inputs)
         with pytest.raises(UnstableStep):
-            ReducedModel(model, u).step(reduce_state(u, x), *inputs)
+            reduced.step(reduce_state(reduced.projection, x), *inputs)
 
-    @pytest.mark.parametrize("dense, fault", [
-        (lambda u: np.linalg.qr(np.random.default_rng(1).normal(size=u.shape))[0], "row 0 has 7 nonzeros"),
-        (lambda u: u + sp.csr_matrix(([0.5], ([4], [(u.indices[4] + 1) % 7])), shape=u.shape),
-         "row 4 has 2 nonzeros"),
-        (lambda u: u[:, :6], "row 6 has 0 nonzeros"),
-        (lambda u: u.multiply(np.arange(1.0, u.shape[0] + 1)[:, None]).tocsr(), "more than one weight"),
-        (lambda u: sp.hstack([u, sp.csr_matrix((u.shape[0], 1))]).tocsr(), "a column holds no node"),
-    ], ids=["dense", "two-in-a-row", "empty-row", "mixed-weights", "empty-column"])
-    def test_non_cluster_projection_rejected(self, small_model, dense, fault):
-        u = build_projection(Clustering(np.arange(small_model.n_states) % 7, 7))
-        with pytest.raises(ValidationError, match=f"not a cluster projection: .*{fault}"):
-            ReducedModel(small_model, dense(u))
-        with pytest.raises(DimensionMismatch):
-            ReducedModel(small_model, u[:-1])
+    def test_clustering_of_another_size_rejected(self, small_model):
+        n = small_model.n_states
+        with pytest.raises(DimensionMismatch, match=f"clustering covers {n - 1} nodes, the full model has {n}"):
+            ReducedModel(small_model, Clustering(np.arange(n - 1) % 7, 7))

@@ -11,6 +11,8 @@ carried over through the full-order space.
 
 from __future__ import annotations
 
+import os
+import pickle
 from collections import deque
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -40,12 +42,15 @@ SCHEMES = ("performance", "static", "time-triggered")
 
 # Steps filtered ahead under one model whose e_L windows then run as one batch.
 # With lock-step windows a block of W windows makes n_fd full calls of W rows,
-# so a wider block spreads each call's fixed cost over more rows. Measured on
-# the benchmark's desk-shift workload (720 nodes, n_fd 32, 2-core VM; seeds
-# 1-3), estimate_s / peak RSS by look-ahead: 8: 4.82 s / 74.9 MB, 16: 4.23 s /
-# 77.1 MB, 32: 3.95 s / 81.1 MB (medians). 32 gains little more than 16 and
-# holds 8 % more memory than 8, close to the benchmark's 10 % bound on it.
-_LOOKAHEAD = 16
+# so a wider block spreads each call's fixed cost over more rows; with two CPUs
+# a forked helper takes the later half of the windows, so each process makes
+# n_fd calls of about W/2 rows and holds only its half of the trajectories.
+# Measured on the benchmark's desk-shift workload (720 nodes, n_fd 32, 2-core
+# VM; seeds 1-3, medians), estimate_s / peak RSS of the estimating process by
+# look-ahead, one process | split: 16: 5.48 s / 76.9 MB | 4.67 s / 75.1 MB;
+# 32: 5.72 s / 81.1 MB | 3.51 s / 77.3 MB; 64: 4.82 s / 89.8 MB | 3.64 s /
+# 81.9 MB. Split, 32 is as fast as 64 and holds 6 % less memory.
+_LOOKAHEAD = 32
 
 
 @dataclass(frozen=True)
@@ -230,12 +235,19 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     ``offsets`` their ascending clock ticks; an array of W gaps is returned.
     Window w runs over ``inputs[offsets[w]:offsets[w] + horizon]``, where
     ``horizon = len(inputs) - offsets[-1]``. The windows advance in lock
-    step on their own local ticks: at local tick j one full call steps all W
-    rows, row w with ``inputs[offsets[w] + j]``, and one reduced call does
-    the same, so a call of W rows is made ``horizon`` times per model. Each
-    gap equals a single-window call bit for bit.
+    step on their own local ticks: at local tick j one full call steps all
+    the rows of a process, row w with ``inputs[offsets[w] + j]``, and one
+    reduced call does the same.
+
+    With two or more windows and at least two CPUs, a forked helper process
+    runs the later half of the windows while this process runs the earlier
+    half, and the halves are joined. Each row of a batch equals its
+    single-window call bit for bit, so each gap does too, however the
+    windows are split. The helper is reaped before the call returns or
+    raises. An exception in the helper, such as a ``PivotflowError``, is
+    raised here with its type and message; a helper that exits without a
+    result raises ``ChildProcessError``.
     """
-    model, projection = reduced.full, reduced.projection
     starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
     ticks = np.asarray(offsets, dtype=int)
     if ticks.size == 0 or ticks.shape != starts.shape[:1] or np.any(np.diff(ticks) < 0) or ticks[0] < 0:
@@ -243,6 +255,49 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     horizon = len(inputs) - ticks[-1]
     if horizon < 1:
         raise ValidationError("error metric needs at least one prediction interval")
+    if ticks.size < 2 or not hasattr(os, "fork") or _cpus() < 2:
+        return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
+
+    half = ticks.size // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run every window here
+        os.close(read_end)
+        os.close(write_end)
+        return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
+    if pid == 0:  # the helper: the later windows, then exit without unwinding the parent's stack
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = ("ok", _window_gaps(reduced, starts[half:], inputs, ticks[half:], horizon, dt))
+            except Exception as exc:  # re-raised in the parent
+                result = ("error", exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        head = _window_gaps(reduced, starts[:half], inputs, ticks[:half], horizon, dt)
+    finally:
+        with os.fdopen(read_end, "rb") as pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise ChildProcessError(f"e_L helper process exited with status {code} and no result")
+    kind, value = pickle.loads(payload)
+    if kind == "error":
+        raise value
+    return np.concatenate([head, value])
+
+
+def _window_gaps(reduced: ReducedModel, starts: np.ndarray, inputs, ticks: np.ndarray,
+                 horizon: int, dt: float) -> np.ndarray:
+    """The e_L gaps of the windows at ``ticks``, advanced in lock step over ``horizon`` local ticks."""
+    model, projection = reduced.full, reduced.projection
     full_traj = np.empty((ticks.size, horizon + 1, model.n_states))
     red_traj = np.empty((ticks.size, horizon + 1, reduced.order))
     full_traj[:, 0] = starts
@@ -254,6 +309,14 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     # one contiguous (horizon, n) gap array per window keeps the summation order
     return np.array([np.abs(lift_state(projection, red)[1:] - full[1:]).sum() / model.n_states
                      for full, red in zip(full_traj, red_traj)])
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass

@@ -1,9 +1,28 @@
+import os
+
 import numpy as np
 import pytest
 
 from pivotflow import CylindricalGrid, FullModel, StepForcing, SurfaceInput, VanGenuchtenParams
 
 LOAM = VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6)
+
+
+def reap_leftover_child():
+    """None if this process has no child; else the pid of an exited child, now reaped, or 0 if it still runs."""
+    try:
+        return os.waitpid(-1, os.WNOHANG)[0]
+    except ChildProcessError:
+        return None
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or un-reaped."""
+    yield
+    left = reap_leftover_child()
+    if left is not None:
+        pytest.fail(f"test left a child process behind ({'still running' if left == 0 else f'pid {left}'})")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Reduced-order EKF, information transfer, and trigger-metric tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from pivotflow import (
     FullModel,
     NoiseConfig,
     NonFiniteState,
+    PivotflowError,
     ReducedEkfState,
     ReducedModel,
     SingularInnovation,
     StepForcing,
     SurfaceInput,
     TriggerState,
+    UnstableStep,
     ValidationError,
     build_projection,
     clamp_estimate,
@@ -27,9 +31,10 @@ from pivotflow import (
     slope_estimate,
     transfer_model,
 )
+import pivotflow.ekf as ekf
 from pivotflow.ekf import sensor_output_map
 
-from conftest import dense_cov, simulate_reduced
+from conftest import dense_cov, reap_leftover_child, simulate_reduced
 
 
 class LinearTestModel:
@@ -358,6 +363,8 @@ class TestErrorMetric:
         singles = [compute_error_metric(reduced, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
                    for o, x0 in zip(offsets, starts)]
 
+        # one process, so the counting patches see every row
+        monkeypatch.setattr(ekf, "_cpus", lambda: 1)
         calls, reduced_calls = [], []
         step, reduced_step = FullModel.step, ReducedModel.step
         monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
@@ -384,6 +391,99 @@ class TestErrorMetric:
         reduced = ReducedModel(small_model, Clustering.singletons(small_model.n_states))
         with pytest.raises(ValidationError):
             compute_error_metric(reduced, np.full(small_model.n_states, -5.0), [], 900.0, offsets=[0])
+
+
+class TestErrorMetricHelper:
+    """A forked helper process runs the later half of an e_L call's windows."""
+
+    HORIZON = 3
+
+    @pytest.fixture()
+    def windows(self, loam, monkeypatch):
+        """A reduced model, and a maker of (starts, inputs, offsets) for W windows; two CPUs assumed."""
+        from pivotflow import CylindricalGrid, RootUptake
+
+        monkeypatch.setattr(ekf, "_cpus", lambda: 2)
+        grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
+        reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 9, 9))
+
+        def make(n_windows):
+            rng = np.random.default_rng(n_windows)
+            offsets = np.sort(rng.integers(0, 2 * n_windows, n_windows)).tolist()
+            starts = rng.uniform(-12.0, -3.0, (n_windows, grid.n_nodes))
+            inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (t % 3)), t % grid.n_theta),
+                       StepForcing(et=2e-8, k_c=0.5, rain=1e-9 * t))
+                      for t in range(offsets[-1] + self.HORIZON)]
+            return starts, inputs, offsets
+
+        return reduced, make
+
+    @staticmethod
+    def _row_raising_step(monkeypatch, row, error):
+        """Patch FullModel.step to call ``error()`` when a batch holds ``row``; the fork inherits the patch."""
+        step = FullModel.step
+
+        def patched(model, x, *args):
+            if np.any(np.all(np.atleast_2d(x) == row, axis=1)):
+                error()
+            return step(model, x, *args)
+
+        monkeypatch.setattr(FullModel, "step", patched)
+
+    @pytest.mark.parametrize("n_windows", [2, 3, 16])
+    def test_gaps_equal_single_windows(self, windows, n_windows, monkeypatch):
+        reduced, make = windows
+        starts, inputs, offsets = make(n_windows)
+        horizon = len(inputs) - offsets[-1]
+        singles = np.array([compute_error_metric(reduced, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
+                            for o, x0 in zip(offsets, starts)])
+        forks, rows = [], []  # the parent steps only its own half, the earlier windows
+        fork, step = os.fork, FullModel.step
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(FullModel, "step", lambda self, x, *a: rows.append(len(x)) or step(self, x, *a))
+        gaps = compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
+        assert gaps.tobytes() == singles.tobytes()
+        assert forks == [1]
+        assert rows == [n_windows // 2] * horizon
+        assert reap_leftover_child() is None
+
+    @pytest.mark.parametrize("half", ["helper", "parent"])
+    def test_error_in_either_half_raises_here(self, windows, half, monkeypatch):
+        reduced, make = windows
+        starts, inputs, offsets = make(5)
+        row = starts[-1] if half == "helper" else starts[0]  # the helper runs windows [2:]
+
+        def diverge():
+            raise UnstableStep(f"state diverged in the {half}'s half")
+
+        self._row_raising_step(monkeypatch, row, diverge)
+        with pytest.raises(UnstableStep) as caught:
+            compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
+        assert str(caught.value) == f"state diverged in the {half}'s half"
+        assert reap_leftover_child() is None
+
+    def test_helper_without_a_result_raises_child_process_error(self, windows, monkeypatch):
+        reduced, make = windows
+        starts, inputs, offsets = make(4)
+        parent = os.getpid()
+        self._row_raising_step(monkeypatch, starts[-1], lambda: os.getpid() != parent and os._exit(3))
+        with pytest.raises(ChildProcessError, match="status 3") as caught:
+            compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
+        assert not isinstance(caught.value, PivotflowError)
+        assert reap_leftover_child() is None
+
+    def test_without_a_process_to_spare_all_windows_run_here(self, windows, monkeypatch):
+        reduced, make = windows
+        starts, inputs, offsets = make(4)
+        want = compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets).tobytes() == want.tobytes()
+        assert reap_leftover_child() is None
 
 
 class TestSlopeEstimate:

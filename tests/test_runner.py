@@ -328,10 +328,13 @@ class TestLookahead:
 
         monkeypatch.setattr(FullModel, "step", counted)
         runs = []
-        for lookahead in (1, ekf._LOOKAHEAD):
+        # the counting legs run in one process, so the patch sees every row; the last leg splits e_L
+        for lookahead, cpus in ((1, 1), (ekf._LOOKAHEAD, 1), (ekf._LOOKAHEAD, 2)):
+            monkeypatch.setattr(ekf, "_cpus", lambda: cpus)
             rows.append(0)
             runs.append(self._estimate(monkeypatch, lookahead, cfg, truth.measurements, truth=truth.states))
         self._assert_same(runs[1], runs[0])
+        self._assert_same(runs[2], runs[0])
         if "slope_limit" in over:
             # a performance re-identification fires inside a block, so the walk must cut it
             assert any(k % ekf._LOOKAHEAD for k, _, _ in runs[0].model_changes[1:])

@@ -11,9 +11,11 @@ carried over through the full-order space.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -121,15 +123,15 @@ def sensor_output_map(projection: sp.csr_matrix, sensor_nodes) -> np.ndarray:
 
 
 def initialize_filter(projection: sp.csr_matrix, x0_full, noise: NoiseConfig,
-                      sensor_nodes, model_index: int = 1) -> ReducedEkfState:
-    """Project the full-order prior onto a freshly identified model."""
+                      sensor_nodes) -> ReducedEkfState:
+    """Project the full-order prior onto a freshly identified model, the run's model 1."""
     return ReducedEkfState(
         xi=reduce_state(projection, x0_full),
         cov=noise.reduced_initial_cov(projection),
         q_r=noise.reduced_process_cov(projection),
         c_r=sensor_output_map(projection, sensor_nodes),
         projection=projection,
-        model_index=model_index,
+        model_index=1,
     )
 
 
@@ -204,11 +206,12 @@ def clamp_estimate(state: ReducedEkfState, cap) -> ReducedEkfState:
 
 
 def transfer_model(state: ReducedEkfState, new_projection: sp.csr_matrix,
-                   noise: NoiseConfig, sensor_nodes, model_index: int) -> ReducedEkfState:
+                   noise: NoiseConfig, sensor_nodes) -> ReducedEkfState:
     """Carry the filter to a new reduced model through the full-order space.
 
     Maps estimate and covariance up with the old projection and back down
-    with the new one; process and output maps are rebuilt for the new basis.
+    with the new one; process and output maps are rebuilt for the new basis,
+    and the model index is one past the old one.
     """
     if new_projection.shape[0] != state.projection.shape[0]:
         raise DimensionMismatch("projections must share the full state dimension")
@@ -220,7 +223,7 @@ def transfer_model(state: ReducedEkfState, new_projection: sp.csr_matrix,
         q_r=noise.reduced_process_cov(new_projection),
         c_r=sensor_output_map(new_projection, sensor_nodes),
         projection=new_projection,
-        model_index=model_index,
+        model_index=state.model_index + 1,
     )
 
 
@@ -239,14 +242,16 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
     the rows of a process, row w with ``inputs[offsets[w] + j]``, and one
     reduced call does the same.
 
-    With two or more windows and at least two CPUs, a forked helper process
-    runs the later half of the windows while this process runs the earlier
-    half, and the halves are joined. Each row of a batch equals its
-    single-window call bit for bit, so each gap does too, however the
-    windows are split. The helper is reaped before the call returns or
-    raises. An exception in the helper, such as a ``PivotflowError``, is
+    With two or more windows and at least two CPUs, a one-worker
+    ``ProcessPoolExecutor`` on the ``fork`` context runs the later half of
+    the windows while this process runs the earlier half, and the halves
+    are joined. Each row of a batch equals its single-window call bit for
+    bit, so each gap does too, however the windows are split. The executor
+    is shut down, its worker and threads joined, before the call returns
+    or raises. An exception in the helper, such as a ``PivotflowError``, is
     raised here with its type and message; a helper that exits without a
-    result raises ``ChildProcessError``.
+    result raises ``ChildProcessError``. If no process can be started,
+    every window runs here.
     """
     starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
     ticks = np.asarray(offsets, dtype=int)
@@ -259,39 +264,16 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
         return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
 
     half = ticks.size // 2
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: run every window here
-        os.close(read_end)
-        os.close(write_end)
-        return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
-    if pid == 0:  # the helper: the later windows, then exit without unwinding the parent's stack
-        status = 1
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as helper:
         try:
-            os.close(read_end)
-            try:
-                result = ("ok", _window_gaps(reduced, starts[half:], inputs, ticks[half:], horizon, dt))
-            except Exception as exc:  # re-raised in the parent
-                result = ("error", exc)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
+            tail = helper.submit(_window_gaps, reduced, starts[half:], inputs, ticks[half:], horizon, dt)
+        except OSError:  # no process to spare: run every window here
+            return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
         head = _window_gaps(reduced, starts[:half], inputs, ticks[:half], horizon, dt)
-    finally:
-        with os.fdopen(read_end, "rb") as pipe:
-            payload = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise ChildProcessError(f"e_L helper process exited with status {code} and no result")
-    kind, value = pickle.loads(payload)
-    if kind == "error":
-        raise value
-    return np.concatenate([head, value])
+        try:
+            return np.concatenate([head, tail.result()])
+        except BrokenProcessPool as exc:
+            raise ChildProcessError("e_L helper process exited without a result") from exc
 
 
 def _window_gaps(reduced: ReducedModel, starts: np.ndarray, inputs, ticks: np.ndarray,
@@ -476,8 +458,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
                     if ahead is None:
                         ahead = initialize_filter(ahead_model.projection, ahead_x, cfg.ekf, sensors)
                     else:
-                        ahead = transfer_model(ahead, ahead_model.projection, cfg.ekf, sensors,
-                                               ahead.model_index + 1)
+                        ahead = transfer_model(ahead, ahead_model.projection, cfg.ekf, sensors)
                 if s > 0:
                     surface, forcing = cfg.estimator_inputs(s - 1)
                     ahead = ekf_predict(ahead, ahead_model, surface, forcing, cfg.delta_s)

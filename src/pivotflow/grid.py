@@ -27,10 +27,9 @@ class CylindricalGrid:
         for name in ("n_r", "n_theta", "n_z"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if not self.radius > 0:
-            raise ValidationError("radius must be > 0")
-        if not self.depth > 0:
-            raise ValidationError("depth must be > 0")
+        for name in ("radius", "depth"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0")
 
     @property
     def n_nodes(self) -> int:

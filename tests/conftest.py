@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,11 +19,14 @@ def reap_leftover_child():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process behind, running or un-reaped."""
+    """Fail a test that leaves a child process behind, running or un-reaped, or more threads than it found."""
+    threads = threading.active_count()
     yield
     left = reap_leftover_child()
     if left is not None:
         pytest.fail(f"test left a child process behind ({'still running' if left == 0 else f'pid {left}'})")
+    if threading.active_count() > threads:
+        pytest.fail(f"test left {threading.active_count() - threads} more thread(s) running than it found")
 
 
 @pytest.fixture(scope="session")

@@ -63,3 +63,11 @@ def test_invalid_dimensions_rejected():
     g = CylindricalGrid(2, 2, 2, radius=1.0, depth=0.4)
     with pytest.raises(ValidationError):
         g.flat_index(2, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["radius", "depth"])
+def test_infinite_size_rejected(name):
+    # an infinite size would only fail at the first step, as a misleading UnstableStep
+    size = {"radius": 1.0, "depth": 0.4, name: np.inf}
+    with pytest.raises(ValidationError, match=f"^{name} must be finite and > 0$"):
+        CylindricalGrid(4, 4, 4, **size)

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
 from .richards import FullModel, _stencil, _surface_flux, _uptake_scale, root_weight, stress_factor
-from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
+from .soil import VanGenuchtenParams, _capacity, _conductivity, _suction_logs
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def build_projection(clustering: Clustering) -> sp.csr_matrix:
 def _rows_of(x, size: int, what: str) -> np.ndarray:
     """``x`` as floats, checked to be one vector (size,) or a batch (B, size)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != size:
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({size},) or (B, {size})")
+    if x.ndim not in (1, 2) or x.shape[-1] != size or x.size == 0:
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({size},) or (B, {size}) with B >= 1")
     return x
 
 
@@ -218,11 +218,10 @@ def _coarse_graph(full: FullModel, cluster: np.ndarray, col_weight: np.ndarray) 
     vertical = 0.5 / grid.dz**2
     faces = [
         (nodes[..., :-1].ravel(), nodes[..., 1:].ravel(), vertical, vertical, 0.5 / grid.dz),
-        (np.arange((n_r - 1) * width), np.arange(width, n), radial_lo.ravel(), radial_hi.ravel(), 0.0),
+        (np.arange(n - width), np.arange(width, n), radial_lo[:-width], radial_hi[:-width], 0.0),
     ]
     if n_t > 1:  # periodic: face j joins theta j and j + 1 mod n_theta
-        az = azimuthal.ravel()
-        faces.append((nodes.ravel(), np.roll(nodes, -1, axis=1).ravel(), az, az, 0.0))
+        faces.append((nodes.ravel(), np.roll(nodes, -1, axis=1).ravel(), azimuthal, azimuthal, 0.0))
     src, dst, diffusive, gravity = [], [], [], []
     for a, b, on_a, on_b, grav in faces:
         ga, gb = group[a], group[b]
@@ -308,8 +307,8 @@ class ReducedModel:
         graph = self._graph
         if graph is None:
             return self.full.step(xi, surface, forcing, dt)
-        if not dt > 0:
-            raise ValidationError("dt must be > 0")
+        if not 0 < dt < np.inf:
+            raise ValidationError("dt must be finite and > 0")
         xi = _rows_of(xi, self.order, "reduced state")
         if not np.all(np.isfinite(xi)):
             raise NonFiniteState("reduced state contains non-finite entries")
@@ -318,35 +317,53 @@ class ReducedModel:
         n_groups, order = graph.cluster.size, self.order
         sub = dt / full.substeps
         out = xi.reshape(-1, order).copy()
-        rows = out.shape[0]
-        # bincount scatters each row's cells and pairs into its groups and its
-        # groups into its clusters in a fixed order, so a row's sums do not
-        # depend on the batch
+        rows, state = out.shape[0], out.reshape(-1)
+        # The batch runs flat, group g of row b at entry b G + g, with per-group
+        # and per-pair constants laid out so once per call. Every index is in
+        # range, so take runs unbuffered (mode="clip"), and bincount adds in a
+        # fixed order, so a row's sums do not depend on the batch.
         offset = np.arange(rows)[:, None] * n_groups
+        size = rows * n_groups
         inflow = np.bincount((offset + graph.surface).ravel(),
                              weights=(_surface_flux(surface, forcing, grid, rows) / grid.dz).ravel(),
-                             minlength=rows * n_groups).reshape(rows, n_groups)
+                             minlength=size)
         sink = None if full.roots is None else _uptake_scale(graph.roots, forcing)
+        if sink is not None:
+            sink = np.broadcast_to(sink, (rows, n_groups)).ravel()
         to_group = (offset + graph.src).ravel()
+        ends = np.stack([to_group, (offset + graph.dst).ravel()])  # both ends of every pair
         to_cluster = (np.arange(rows)[:, None] * order + graph.cluster).ravel()
-        for _ in range(full.substeps):
-            h = out.take(graph.cluster, axis=1)
-            h *= graph.weight
-            logs = suction_logs(h, graph.soil)
-            k = hydraulic_conductivity(h, graph.soil, logs=logs)
-            c_eff = np.maximum(capillary_capacity(h, graph.soil, logs=logs), full.storativity)
-            flow = k.take(graph.src, axis=1) + k.take(graph.dst, axis=1)
-            flow *= graph.diffusive * (h.take(graph.dst, axis=1) - h.take(graph.src, axis=1)) + graph.gravity
-            rate = inflow - k * graph.drain
-            rate += np.bincount(to_group, weights=flow.ravel(), minlength=rows * n_groups).reshape(rows, n_groups)
-            if sink is not None:
-                rate += stress_factor(h, full.roots) * sink
-            rate /= c_eff
-            rate *= graph.weight
-            change = np.bincount(to_cluster, weights=rate.ravel(), minlength=rows * order)
-            change *= sub
-            out += change.reshape(rows, order)
-            # a lifted head beyond any physical suction (or NaN) means the explicit update diverged
-            if not np.abs(out * graph.col_weight).max() <= 1e6:
-                raise UnstableStep(f"reduced state diverged after a sub-step of {sub:g} s; increase substeps")
+        per_group, per_pair = np.arange(size) % n_groups, np.arange(to_group.size) % graph.src.size
+        weight, drain, soil = graph.weight[per_group], graph.drain[per_group], graph.soil._pick(per_group)
+        diffusive, gravity = graph.diffusive[per_pair], graph.gravity[per_pair]
+        col_weight = graph.col_weight[np.arange(state.size) % order]
+        h, k, c, rate, beta, *logs = (np.empty(size) for _ in range(8))
+        pair_k, pair_h = np.empty((2,) + ends.shape)
+        (k_src, k_dst), (h_src, h_dst) = pair_k, pair_h
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(full.substeps):
+                state.take(to_cluster, out=h, mode="clip")
+                h *= weight
+                _suction_logs(h, soil, logs)
+                _conductivity(logs, soil, k)
+                np.maximum(_capacity(logs, soil, c), full.storativity, out=c)
+                k.take(ends, out=pair_k, mode="clip")
+                h.take(ends, out=pair_h, mode="clip")
+                flow = np.add(k_src, k_dst, out=k_src)
+                head = np.subtract(h_dst, h_src, out=h_src)
+                head *= diffusive
+                head += gravity
+                flow *= head
+                np.subtract(inflow, np.multiply(k, drain, out=rate), out=rate)
+                rate += np.bincount(to_group, weights=flow, minlength=size)
+                if sink is not None:
+                    rate += np.multiply(stress_factor(h, full.roots, out=beta), sink, out=beta)
+                rate /= c
+                rate *= weight
+                change = np.bincount(to_cluster, weights=rate, minlength=state.size)
+                change *= sub
+                state += change
+                # a lifted head beyond any physical suction (or NaN) means the explicit update diverged
+                if not np.abs(np.multiply(state, col_weight, out=change), out=change).max() <= 1e6:
+                    raise UnstableStep(f"reduced state diverged after a sub-step of {sub:g} s; increase substeps")
         return out.reshape(xi.shape)

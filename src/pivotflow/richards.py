@@ -128,21 +128,24 @@ def root_weight(grid: CylindricalGrid, root_depth: float) -> np.ndarray:
 def _stencil(grid: CylindricalGrid):
     """Stencil factors with 1/2, 1/dr, 1/(r dr) and 1/(r dtheta)^2 folded in.
 
-    Returns (radial_lo, radial_hi, azimuthal) on the ring view (n_r, n_theta *
-    n_z); the radial arrays cover rings 0..n_r-2. With F = (K_a + K_b)(h_b -
-    h_a) the unscaled flux through a face, a radial face between rings i and
-    i+1 adds F * radial_lo[i] = F r_{i+1/2} / (2 r_i dr^2) to ring i and takes
-    F * radial_hi[i] = F r_{i+1/2} / (2 r_{i+1} dr^2) from ring i+1; an
-    azimuthal face in ring i weighs F by 1 / (2 (r_i dtheta)^2). Cached per
-    grid; the arrays are read-only because every sub-step shares them.
+    Returns (radial_lo, radial_hi, azimuthal), each (n_nodes,) in flat-index
+    order. With F = (K_a + K_b)(h_b - h_a) the unscaled flux through a face,
+    a radial face between rings i and i+1 adds F * radial_lo = F r_{i+1/2} /
+    (2 r_i dr^2) to ring i and takes F * radial_hi = F r_{i+1/2} / (2 r_{i+1}
+    dr^2) from ring i+1, both read at ring i's entries; an azimuthal face in
+    ring i weighs F by 1 / (2 (r_i dtheta)^2). The outer ring has no face
+    outward: its radial entries are -0.0 in radial_lo and +0.0 in radial_hi,
+    so that a zero flux through them adds -0.0 and takes +0.0, which leaves
+    every rate bit for bit. Cached per grid; the arrays are read-only because
+    every sub-step shares them.
     """
     width = grid.n_theta * grid.n_z
     face_r = np.arange(1, grid.n_r) * grid.dr
     r = grid.r_centers
     parts = (
-        np.repeat(0.5 * face_r / (r[:-1] * grid.dr**2), width).reshape(grid.n_r - 1, width),
-        np.repeat(0.5 * face_r / (r[1:] * grid.dr**2), width).reshape(grid.n_r - 1, width),
-        np.repeat(0.5 / (r * grid.dtheta) ** 2, width).reshape(grid.n_r, width),
+        np.append(np.repeat(0.5 * face_r / (r[:-1] * grid.dr**2), width), np.full(width, -0.0)),
+        np.append(np.repeat(0.5 * face_r / (r[1:] * grid.dr**2), width), np.zeros(width)),
+        np.repeat(0.5 / (r * grid.dtheta) ** 2, width),
     )
     for a in parts:
         a.flags.writeable = False
@@ -245,7 +248,8 @@ class _Workspace:
         self.rate = np.empty(shape)
         self.sink = np.empty(shape)
         self.face = np.empty(shape)
-        self.flux_t = np.empty((shape[0], grid.n_r, (grid.n_theta + 1) * grid.n_z))
+        # azimuthal faces, entry m + n_z after node m; the first n_z stay 0.0
+        self.flux_t = np.zeros(shape[0] * shape[1] + grid.n_z)
 
 
 @dataclass(frozen=True)
@@ -296,7 +300,8 @@ class FullModel:
         np.maximum(c_eff, self.storativity, out=c_eff)
         rate = work.rate
         # the logs are spent: their arrays serve as scratch below
-        df, flux = work.logs[0].reshape(-1), work.logs[1].reshape(-1)
+        df2, flux2 = work.logs[0], work.logs[1]
+        df, flux = df2.reshape(-1), flux2.reshape(-1)
 
         # vertical: d/dz [K (dh/dz + 1)]. ``top`` holds the downward-positive
         # flux through each cell's upper face over dz, (K_a + K_b) (dh /
@@ -304,7 +309,7 @@ class FullModel:
         # flat order the lower face of a cell is the upper face of the entry
         # before it, except in the bottom layer, where the flat neighbour
         # belongs to another column.
-        hf, kf, top = h.reshape(-1), k.reshape(-1), work.face.reshape(-1)
+        hf, kf, top, ratef = h.reshape(-1), k.reshape(-1), work.face.reshape(-1), rate.reshape(-1)
         if n_z > 1:
             np.subtract(hf[1:], hf[:-1], out=df[:-1])
             df[:-1] *= 0.5 / grid.dz**2
@@ -313,48 +318,47 @@ class FullModel:
             top[:-1] *= df[:-1]
         top3 = work.face.reshape(rows, n_r, n_t, n_z)
         top3[..., -1] = inflow
-        np.subtract(top[1:], top[:-1], out=rate.reshape(-1)[1:])
+        np.subtract(top[1:], top[:-1], out=ratef[1:])
         k3, rate3 = k.reshape(top3.shape), rate.reshape(top3.shape)
         # unit-gradient drainage K(h_bottom), or no flux
         g_bottom = k3[..., 0] if self.bottom_bc == "free_drainage" else np.zeros(top3.shape[:-1])
         np.subtract(top3[..., 0], g_bottom / grid.dz, out=rate3[..., 0])
 
-        # Ring view (B, n_r, n_theta * n_z): a theta neighbour is n_z entries
-        # away in the flat order, so every difference below is taken over
-        # contiguous runs of the same elements.
-        ring = (rows, n_r, n_t * n_z)
-        h2, k2, rate2 = h.reshape(ring), k.reshape(ring), rate.reshape(ring)
+        # The radial and azimuthal faces are flat passes over the batch too: a
+        # ring neighbour is n_theta n_z entries on, a theta neighbour n_z. Each
+        # node adds its radial lo, radial hi and azimuthal terms in that order.
+        width = n_t * n_z
         radial_lo, radial_hi, azimuthal = _stencil(grid)
 
-        # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R
+        # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R. An
+        # outer-ring entry pairs a node with the next row's inner ring: its
+        # flux is set to +0.0, so it adds -0.0 and takes +0.0
         if n_r > 1:
-            inner = (rows, n_r - 1, n_t * n_z)
-            f_r = flux[:rows * (n_r - 1) * n_t * n_z].reshape(inner)
-            d_r = df[:f_r.size].reshape(inner)
-            np.add(k2[:, 1:], k2[:, :-1], out=f_r)
-            np.subtract(h2[:, 1:], h2[:, :-1], out=d_r)
-            f_r *= d_r
-            np.multiply(f_r, radial_lo, out=d_r)
-            rate2[:, :-1] += d_r
-            np.multiply(f_r, radial_hi, out=d_r)
-            rate2[:, 1:] -= d_r
+            np.add(kf[width:], kf[:-width], out=flux[:-width])
+            np.subtract(hf[width:], hf[:-width], out=df[:-width])
+            flux[:-width] *= df[:-width]
+            flux2[:, -width:] = 0.0
+            np.multiply(flux2, radial_lo, out=df2)
+            ratef[:-width] += df[:-width]
+            np.multiply(flux2, radial_hi, out=df2)
+            ratef[width:] -= df[:-width]
 
-        # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic; flux_t block j
-        # sits at face j - 1/2, so the wrapped face appears at both ends
+        # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic. flux_t[m + n_z]
+        # is the face after node m; the slot after a ring's last block holds
+        # the ring's wrapped face, and its first block's difference is redone
         if n_t > 1:
             flux_t = work.flux_t
-            inner_t = flux_t[..., n_z:-n_z]
-            np.add(k2[..., :-n_z], k2[..., n_z:], out=inner_t)
-            d_t = df.reshape(ring)[..., :-n_z]
-            np.subtract(h2[..., n_z:], h2[..., :-n_z], out=d_t)
-            inner_t *= d_t
-            np.multiply(k2[..., -n_z:] + k2[..., :n_z], h2[..., :n_z] - h2[..., -n_z:],
-                        out=flux_t[..., -n_z:])
-            flux_t[..., :n_z] = flux_t[..., -n_z:]
-            d_t = df.reshape(ring)
-            np.subtract(flux_t[..., n_z:], flux_t[..., :-n_z], out=d_t)
-            d_t *= azimuthal
-            rate2 += d_t
+            np.add(kf[:-n_z], kf[n_z:], out=flux_t[n_z:-n_z])
+            np.subtract(hf[n_z:], hf[:-n_z], out=df[:-n_z])
+            flux_t[n_z:-n_z] *= df[:-n_z]
+            rings = (rows * n_r, width)
+            k2, h2, faces = kf.reshape(rings), hf.reshape(rings), flux_t[n_z:].reshape(rings)
+            wrap = np.add(k2[:, -n_z:], k2[:, :n_z], out=faces[:, -n_z:])
+            wrap *= np.subtract(h2[:, :n_z], h2[:, -n_z:], out=work.logs[2].reshape(rings)[:, :n_z])
+            np.subtract(flux_t[n_z:], flux_t[:-n_z], out=df)
+            np.subtract(faces[:, :n_z], wrap, out=df.reshape(rings)[:, :n_z])
+            df2 *= azimuthal
+            ratef += df
 
         sink = sink_term(h, self.roots, scale, out=work.sink)
         rate += sink
@@ -364,8 +368,8 @@ class FullModel:
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n = self.grid.n_nodes
-        if x.shape[-1:] != (n,) or x.ndim > 2:
-            raise DimensionMismatch(f"state has shape {x.shape}, expected ({n},) or (B, {n})")
+        if x.shape[-1:] != (n,) or x.ndim > 2 or x.size == 0:
+            raise DimensionMismatch(f"state has shape {x.shape}, expected ({n},) or (B, {n}) with B >= 1")
         if not np.all(np.isfinite(x)):
             raise NonFiniteState("state contains non-finite entries")
         return x
@@ -393,8 +397,8 @@ class FullModel:
         call with its own inputs would give it. ``budget`` accumulates one
         state's boundary and sink volumes.
         """
-        if not dt > 0:
-            raise ValidationError("dt must be > 0")
+        if not 0 < dt < np.inf:
+            raise ValidationError("dt must be finite and > 0")
         x = self._check(x)
         if budget is not None and x.ndim != 1:
             raise ValidationError("a water budget is kept for one state at a time")

@@ -62,6 +62,12 @@ class VanGenuchtenParams:
         ):
             object.__setattr__(self, name, value)
 
+    def _pick(self, index) -> "VanGenuchtenParams":
+        """The per-node entries at ``index`` of every field, derived products included, not re-derived."""
+        picked = object.__new__(VanGenuchtenParams)
+        picked.__dict__.update({name: value[index] for name, value in vars(self).items()})
+        return picked
+
     @classmethod
     def from_zones(cls, zone_of_node: np.ndarray, zones: "list[VanGenuchtenParams]") -> "VanGenuchtenParams":
         """Per-node parameters: each node takes the values of its zone in ``zones``."""
@@ -85,15 +91,21 @@ def suction_logs(h, p, out=None):
     if out is None:
         shape = np.broadcast_shapes(h.shape, np.shape(p.alpha))
         out = (np.empty(shape), np.empty(shape), np.empty(shape))
-    log_ah, n_log, log_one_a = out
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.multiply(h, p.neg_alpha, out=log_ah)
-        np.maximum(log_ah, 0.0, out=log_ah)
-        np.log(log_ah, out=log_ah)
-        np.multiply(log_ah, p.n_vg, out=n_log)
-        np.exp(n_log, out=log_one_a)
-        log_one_a += 1.0
-        np.log(log_one_a, out=log_one_a)
+        return _suction_logs(h, p, out)
+
+
+# The kernels enter no errstate: a caller that runs them every sub-step enters
+# one, ignoring divide, over and invalid, around all of its calls.
+def _suction_logs(h, p, out):
+    log_ah, n_log, log_one_a = out
+    np.multiply(h, p.neg_alpha, out=log_ah)
+    np.maximum(log_ah, 0.0, out=log_ah)
+    np.log(log_ah, out=log_ah)
+    np.multiply(log_ah, p.n_vg, out=n_log)
+    np.exp(n_log, out=log_one_a)
+    log_one_a += 1.0
+    np.log(log_one_a, out=log_one_a)
     return out
 
 
@@ -113,12 +125,15 @@ def capillary_capacity(h, p, logs=None, out=None):
     c = (theta_s - theta_r) m n alpha exp((n - 1) L - (m + 1) lo) in the
     terms of ``suction_logs``.
     """
-    log_ah, _, log_one_a = suction_logs(h, p) if logs is None else logs
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.multiply(log_ah, p.n_minus_1, out=np.empty_like(log_ah) if out is None else out)
-        c += np.multiply(log_one_a, p.neg_m_plus_1, out=np.empty_like(log_one_a))
-        np.exp(c, out=c)
-        c *= p.c_scale
+        return _capacity(suction_logs(h, p) if logs is None else logs, p, out)
+
+
+def _capacity(logs, p, out):
+    c = np.multiply(logs[0], p.n_minus_1, out=np.empty_like(logs[0]) if out is None else out)
+    c += np.multiply(logs[2], p.neg_m_plus_1)
+    np.exp(c, out=c)
+    c *= p.c_scale
     return c
 
 
@@ -129,14 +144,18 @@ def hydraulic_conductivity(h, p, logs=None, out=None):
     evaluated as K_s exp(-m lo/2) (1 - exp(m (nL - lo)))^2 in the terms of
     ``suction_logs``.
     """
-    _, n_log, log_one_a = suction_logs(h, p) if logs is None else logs
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.subtract(n_log, log_one_a, out=np.empty_like(n_log) if out is None else out)
-        k *= p.m_vg
-        np.exp(k, out=k)
-        np.subtract(1.0, k, out=k)
-        k *= k
-        root_se = np.multiply(log_one_a, p.half_neg_m, out=np.empty_like(log_one_a))
-        k *= np.exp(root_se, out=root_se)
-        k *= p.k_s
+        return _conductivity(suction_logs(h, p) if logs is None else logs, p, out)
+
+
+def _conductivity(logs, p, out):
+    _, n_log, log_one_a = logs
+    k = np.subtract(n_log, log_one_a, out=np.empty_like(n_log) if out is None else out)
+    k *= p.m_vg
+    np.exp(k, out=k)
+    np.subtract(1.0, k, out=k)
+    k *= k
+    root_se = np.multiply(log_one_a, p.half_neg_m, out=np.empty_like(log_one_a))
+    k *= np.exp(root_se, out=root_se)
+    k *= p.k_s
     return k

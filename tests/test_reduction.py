@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -510,7 +511,7 @@ class TestCoarseStep:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(want - xi).max() > 1e-6 * np.abs(want).max()  # the states do move
             # each batch row equals its single-state call bit for bit
-            assert all(np.array_equal(row, reduced.step(x, surface, forcing, 1800.0)) for row, x in zip(got, xi))
+            assert all(row.tobytes() == reduced.step(x, surface, forcing, 1800.0).tobytes() for row, x in zip(got, xi))
             xi = want
 
     @pytest.mark.parametrize("with_roots", [True, False], ids=["roots", "no-roots"])
@@ -563,8 +564,9 @@ class TestCoarseStep:
             xi[3] = bad
             with pytest.raises(NonFiniteState):
                 reduced.step(xi, *inputs, 900.0)
-        for shape in ((6,), (2, 8), (2, 1, 7)):
-            with pytest.raises(DimensionMismatch):
+        # a (0, r) batch once reached the surface flux and raised a bare IndexError
+        for shape in ((6,), (2, 8), (2, 1, 7), (0, 7)):
+            with pytest.raises(DimensionMismatch, match=r"^reduced state has shape \("):
                 reduced.step(np.full(shape, -10.0), *inputs, 900.0)
         with pytest.raises(DimensionMismatch):
             reduced.step(np.full(7, -10.0), SurfaceInput.idle(small_grid.n_r + 1), StepForcing(), 900.0)
@@ -582,6 +584,33 @@ class TestCoarseStep:
             model.step(x, *inputs)
         with pytest.raises(UnstableStep):
             reduced.step(reduce_state(reduced.projection, x), *inputs)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("path", ["coarse", "identity"])
+    def test_bad_dt_rejected(self, small_grid, loam, path, dt):
+        # an infinite dt once ran a sub-step of inf s and raised UnstableStep after a RuntimeWarning
+        n = small_grid.n_nodes
+        clustering = Clustering(np.arange(n) % 7, 7) if path == "coarse" else Clustering.singletons(n)
+        reduced = ReducedModel(FullModel(small_grid, loam, substeps=4), clustering)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^dt must be finite and > 0$"):
+                reduced.step(np.full(reduced.order, -10.0), SurfaceInput.idle(small_grid.n_r), StepForcing(), dt)
+
+    def test_errstate_is_restored(self, loam):
+        # the coarse step enters one errstate around its sub-steps; it must
+        # leave numpy's error settings as it found them, also when it raises
+        grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        inputs = (SurfaceInput.idle(grid.n_r), StepForcing(), 1800.0)
+        xi_of = lambda reduced, x: reduce_state(reduced.projection, x)
+        before = np.geterr()
+        stable = ReducedModel(FullModel(grid, loam, substeps=24), Clustering(np.arange(grid.n_nodes) % 7, 7))
+        stable.step(xi_of(stable, np.full(grid.n_nodes, -8.0)), *inputs)
+        assert np.geterr() == before
+        unstable = ReducedModel(FullModel(grid, loam, substeps=2), Clustering(np.arange(grid.n_nodes) % 7, 7))
+        with pytest.raises(UnstableStep):
+            unstable.step(xi_of(unstable, np.where(np.arange(grid.n_nodes) % 7 < 3, -0.01, -20.0)), *inputs)
+        assert np.geterr() == before
 
     def test_clustering_of_another_size_rejected(self, small_model):
         n = small_model.n_states

@@ -1,5 +1,7 @@
 """Dynamics, boundary-condition, and water-balance tests."""
 
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from pivotflow import (
     ValidationError,
     VanGenuchtenParams,
     WaterBudget,
+    capillary_capacity,
     hydraulic_conductivity,
     observe,
     sink_scale,
@@ -161,6 +164,89 @@ class TestRhs:
         other = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         with pytest.raises(DimensionMismatch, match="soil arrays"):
             FullModel(desk_grid, VanGenuchtenParams.from_zones(other.quadrant_of_node(), [loam] * 4))
+
+
+def rhs_by_node(model, x, surfaces, forcings, k, c, s):
+    """dh/dt of each node of a (B, n) batch from per-node K, C and sink S, by a plain loop.
+
+    Each node takes its terms in the stepper's order: vertical (upper face
+    less lower face), radial lo, radial hi, azimuthal, then the sink, and
+    the sum is divided by C. Every coefficient is formed from the grid here.
+    """
+    grid = model.grid
+    n_r, n_t, n_z, dz, dr, r = grid.n_r, grid.n_theta, grid.n_z, grid.dz, grid.dr, grid.r_centers
+    out = np.empty_like(x)
+    for b, (surface, forcing) in enumerate(zip(surfaces, forcings)):
+        h, kk = x[b].reshape(n_r, n_t, n_z), k[b].reshape(n_r, n_t, n_z)
+
+        def upper(i, j, z):  # downward-positive flux over dz through the upper face of (i, j, z)
+            if z == n_z - 1:
+                return (forcing.rain + surface.u[i] if j == surface.active_sector % n_t else forcing.rain) / dz
+            return (kk[i, j, z + 1] + kk[i, j, z]) * ((h[i, j, z + 1] - h[i, j, z]) * (0.5 / dz**2) + 0.5 / dz)
+
+        def face(a, b):  # (K_a + K_b)(h_b - h_a)
+            return (kk[a] + kk[b]) * (h[b] - h[a])
+
+        for i in range(n_r):
+            for j in range(n_t):
+                for z in range(n_z):
+                    drain = kk[i, j, z] if model.bottom_bc == "free_drainage" else 0.0
+                    rate = upper(i, j, z) - (upper(i, j, z - 1) if z > 0 else drain / dz)
+                    if i < n_r - 1:
+                        rate += face((i, j, z), (i + 1, j, z)) * (0.5 * ((i + 1) * dr) / (r[i] * dr**2))
+                    if i > 0:
+                        rate -= face((i - 1, j, z), (i, j, z)) * (0.5 * (i * dr) / (r[i] * dr**2))
+                    if n_t > 1:
+                        after = face((i, j, z), (i, (j + 1) % n_t, z))
+                        before = face((i, (j - 1) % n_t, z), (i, j, z))
+                        rate += (after - before) * (0.5 / (r[i] * grid.dtheta) ** 2)
+                    m = (i * n_t + j) * n_z + z
+                    rate += s[b, m]
+                    out[b, m] = rate / c[b, m]
+    return out
+
+
+class TestStencilOracle:
+    # The stepper assembles its faces in flat passes over the whole batch and
+    # patches the entries that cross a ring's end; a plain loop over nodes
+    # must give the same bytes, at the outer ring, at the theta wrap and in
+    # the bottom layer. With K = -0.0 and every sink -0.0 (all heads below
+    # wilting), some rates are -0.0, which a crossing entry other than a
+    # neutral zero would turn into +0.0.
+    @pytest.mark.parametrize("signed_zero_k", [False, True], ids=["closures", "k=-0"])
+    @pytest.mark.parametrize("bottom_bc", ["free_drainage", "no_flux"])
+    def test_rhs_equals_node_loop(self, loam, bottom_bc, signed_zero_k, monkeypatch):
+        from pivotflow import richards
+
+        grid = CylindricalGrid(4, 5, 3, radius=2.0, depth=0.3)
+        soil = VanGenuchtenParams.from_zones(grid.quadrant_of_node(), [
+            loam, VanGenuchtenParams(alpha=2.0, n_vg=1.41, theta_r=0.095, theta_s=0.41, k_s=1.2e-6),
+        ] * 2)
+        roots = RootUptake(root_depth=0.2, h_wilting=-16.0)
+        model = FullModel(grid, soil, roots=roots, bottom_bc=bottom_bc)
+        rng = np.random.default_rng(12)
+        x = rng.uniform(*((-30.0, -17.0) if signed_zero_k else (-14.0, -1.0)), (3, grid.n_nodes))
+        surfaces = [SurfaceInput(np.full(grid.n_r, 2e-7), 0), SurfaceInput(np.linspace(0.0, 3e-7, grid.n_r), 4),
+                    SurfaceInput(np.full(grid.n_r, 1e-7), 7)]
+        forcings = [StepForcing(et=2e-8, k_c=0.5, rain=1e-8), StepForcing(et=3e-8, k_c=1.1),
+                    StepForcing(et=1e-8, k_c=0.8, rain=5e-9)]
+        k = hydraulic_conductivity(x, soil)
+        if signed_zero_k:
+            closure = richards.hydraulic_conductivity
+
+            def zero_k(*args, **kwargs):
+                out = closure(*args, **kwargs)
+                out *= -0.0
+                return out
+
+            monkeypatch.setattr(richards, "hydraulic_conductivity", zero_k)
+            k *= -0.0
+        c = np.maximum(capillary_capacity(x, soil), model.storativity)
+        s = sink_term(x, roots, sink_scale(grid, forcings, roots))
+        want = rhs_by_node(model, x, surfaces, forcings, k, c, s)
+        assert model.rhs(x, surfaces, forcings).tobytes() == want.tobytes()
+        if signed_zero_k and bottom_bc == "no_flux":
+            assert np.any((want == 0.0) & np.signbit(want))
 
 
 # -- step -----------------------------------------------------------------------
@@ -310,9 +396,20 @@ class TestStep:
         assert np.array_equal(got, small_model.step(h, surface, StepForcing(), 900.0))
 
     def test_batch_state_shape_is_checked(self, small_model, small_grid):
-        for shape in [(2, 3), (2, 1, small_grid.n_nodes)]:
-            with pytest.raises(DimensionMismatch):
-                small_model.step(np.full(shape, -6.0), idle_input(small_grid), IDLE, 900.0)
+        # a (0, n) batch once reached the surface flux and raised a bare IndexError
+        for shape in [(2, 3), (2, 1, small_grid.n_nodes), (0, small_grid.n_nodes)]:
+            for call in (small_model.rhs, lambda *a: small_model.step(*a, 900.0)):
+                with pytest.raises(DimensionMismatch, match="^" + re.escape(f"state has shape {shape}, expected")):
+                    call(np.full(shape, -6.0), idle_input(small_grid), IDLE)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_dt_rejected(self, small_model, small_grid, dt):
+        # an infinite dt once ran a sub-step of inf s and raised UnstableStep after a RuntimeWarning
+        h = np.full(small_grid.n_nodes, -6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^dt must be finite and > 0$"):
+                small_model.step(h, idle_input(small_grid), IDLE, dt)
 
     def test_surface_rate_count_is_checked(self, small_model, small_grid):
         # step used to fail with a bare numpy broadcasting error here

@@ -1,7 +1,7 @@
 """Reduced-order extended Kalman filter with performance-triggered re-identification.
 
-The filter lives entirely in the reduced coordinates of the active
-projection. Prediction linearizes the reduced transition map by forward
+The filter lives entirely in the reduced coordinates of the model that its
+state carries. Prediction linearizes the reduced transition map by forward
 finite differences (one evaluation per reduced coordinate); covariances
 are symmetrized after every propagate and update. When the open-loop
 prediction-error metric exceeds its threshold while rising, a new
@@ -108,7 +108,7 @@ class ReducedEkfState:
     cov: np.ndarray
     q_r: np.ndarray
     c_r: np.ndarray
-    projection: sp.csr_matrix
+    model: ReducedModel
     model_index: int
 
     @property
@@ -122,15 +122,15 @@ def sensor_output_map(projection: sp.csr_matrix, sensor_nodes) -> np.ndarray:
     return projection[rows, :].toarray()
 
 
-def initialize_filter(projection: sp.csr_matrix, x0_full, noise: NoiseConfig,
-                      sensor_nodes) -> ReducedEkfState:
+def initialize_filter(model: ReducedModel, x0_full, noise: NoiseConfig, sensor_nodes) -> ReducedEkfState:
     """Project the full-order prior onto a freshly identified model, the run's model 1."""
+    projection = model.projection
     return ReducedEkfState(
         xi=reduce_state(projection, x0_full),
         cov=noise.reduced_initial_cov(projection),
         q_r=noise.reduced_process_cov(projection),
         c_r=sensor_output_map(projection, sensor_nodes),
-        projection=projection,
+        model=model,
         model_index=1,
     )
 
@@ -153,13 +153,13 @@ def _fd_jacobian(transition, xi: np.ndarray):
     return f0, np.ascontiguousarray(((f[1:] - f0) / deltas[:, None]).T)
 
 
-def ekf_predict(state: ReducedEkfState, model, surface, forcing, dt: float) -> ReducedEkfState:
+def ekf_predict(state: ReducedEkfState, surface, forcing, dt: float) -> ReducedEkfState:
     """Propagate estimate and covariance one sampling interval (zero disturbance).
 
-    ``model.step`` must take a (B, r) batch of reduced states: the estimate
-    and all r Jacobian columns are stepped as the r + 1 rows of one call.
+    The state's own model steps: ``state.model.step`` must take a (B, r) batch
+    of reduced states, the estimate and its r Jacobian columns as r + 1 rows.
     """
-    transition = lambda xi: model.step(xi, surface, forcing, dt)
+    transition = lambda xi: state.model.step(xi, surface, forcing, dt)
     xi_pred, a_d = _fd_jacobian(transition, state.xi)
     cov = a_d @ state.cov @ a_d.T + state.q_r
     cov = 0.5 * (cov + cov.T)
@@ -188,41 +188,42 @@ def ekf_update(state: ReducedEkfState, y, r_cov: np.ndarray) -> ReducedEkfState:
 
 def reconstruct(state: ReducedEkfState) -> np.ndarray:
     """Full-grid estimate x_hat = U xi_hat."""
-    return lift_state(state.projection, state.xi)
+    return lift_state(state.model.projection, state.xi)
 
 
-def clamp_estimate(state: ReducedEkfState, cap) -> ReducedEkfState:
-    """Cap each reduced coordinate: xi_j <- min(xi_j, cap_j).
+def clamp_estimate(state: ReducedEkfState, ceiling) -> ReducedEkfState:
+    """Cap the lifted heads at ``ceiling``: xi_j <- min(xi_j, ceiling / w_j).
 
-    ``cap`` is one bound or one per coordinate. Covariances are untouched;
-    the estimator caps the lifted heads at its ceiling, which only engages
-    when a noisy update overshoots the unsaturated range that keeps the
-    explicit stepper stable.
+    Cluster j lifts to w_j * xi_j, w_j = ``state.model.weights[j]`` > 0, so
+    the head ceiling caps each coordinate. Covariances are untouched; the
+    ceiling only engages when a noisy update overshoots the unsaturated
+    range that keeps the explicit stepper stable.
     """
-    capped = np.minimum(state.xi, cap)
+    capped = np.minimum(state.xi, ceiling / state.model.weights)
     if np.array_equal(capped, state.xi):
         return state
     return replace(state, xi=capped)
 
 
-def transfer_model(state: ReducedEkfState, new_projection: sp.csr_matrix,
-                   noise: NoiseConfig, sensor_nodes) -> ReducedEkfState:
+def transfer_model(state: ReducedEkfState, model: ReducedModel, noise: NoiseConfig,
+                   sensor_nodes) -> ReducedEkfState:
     """Carry the filter to a new reduced model through the full-order space.
 
-    Maps estimate and covariance up with the old projection and back down
-    with the new one; process and output maps are rebuilt for the new basis,
-    and the model index is one past the old one.
+    Maps estimate and covariance up with the old model's projection and back
+    down with the new one's; process and output maps are rebuilt for the new
+    basis, and the model index is one past the old one.
     """
-    if new_projection.shape[0] != state.projection.shape[0]:
+    projection = model.projection
+    if projection.shape[0] != state.model.projection.shape[0]:
         raise DimensionMismatch("projections must share the full state dimension")
-    mapping = (new_projection.T @ state.projection).toarray()
+    mapping = (projection.T @ state.model.projection).toarray()
     cov = mapping @ state.cov @ mapping.T
     return ReducedEkfState(
         xi=mapping @ state.xi,
         cov=0.5 * (cov + cov.T),
-        q_r=noise.reduced_process_cov(new_projection),
-        c_r=sensor_output_map(new_projection, sensor_nodes),
-        projection=new_projection,
+        q_r=noise.reduced_process_cov(projection),
+        c_r=sensor_output_map(projection, sensor_nodes),
+        model=model,
         model_index=state.model_index + 1,
     )
 
@@ -416,7 +417,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
 
     trigger = TriggerState(th_e=cfg.th_e, slope_limit=cfg.slope_limit)
     x_hat = cfg.guess_state0()
-    state = reduced = None
+    state = None
     e_l = 0.0
 
     trace = EstimationTrace(
@@ -445,7 +446,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
         try:
             # 1. filter ahead; the scheduled triggers (all but performance) are known in advance
             # a block filters under one model: the one identified at its first step, if any
-            ahead, ahead_x, ahead_model = state, x_hat, reduced
+            ahead, ahead_x = state, x_hat
             for s in range(k, min(k + width, n)):
                 if s > k and cfg.scheme != "performance" and _fires(cfg.scheme, s, trigger, cfg.period):
                     break
@@ -454,18 +455,17 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
                     snapshots = generate_snapshots(
                         model, ahead_x, cfg.estimator_inputs_window(max(s - 1, 0), cfg.n_fd), cfg.delta_s,
                     )
-                    ahead_model = ReducedModel(model, cluster_trajectories(snapshots, cfg.th_c))
+                    identified = ReducedModel(model, cluster_trajectories(snapshots, cfg.th_c))
                     if ahead is None:
-                        ahead = initialize_filter(ahead_model.projection, ahead_x, cfg.ekf, sensors)
+                        ahead = initialize_filter(identified, ahead_x, cfg.ekf, sensors)
                     else:
-                        ahead = transfer_model(ahead, ahead_model.projection, cfg.ekf, sensors)
+                        ahead = transfer_model(ahead, identified, cfg.ekf, sensors)
                 if s > 0:
                     surface, forcing = cfg.estimator_inputs(s - 1)
-                    ahead = ekf_predict(ahead, ahead_model, surface, forcing, cfg.delta_s)
+                    ahead = ekf_predict(ahead, surface, forcing, cfg.delta_s)
                 ahead = ekf_update(ahead, measurements[s], r_cov)
                 if ceiling is not None:
-                    # cluster j lifts to weight_j * xi_j, so the head ceiling caps each coordinate
-                    ahead = clamp_estimate(ahead, ceiling / ahead_model.weights)
+                    ahead = clamp_estimate(ahead, ceiling)
                 ahead_x = reconstruct(ahead)
                 now = perf_counter()
                 block.append((fired, ahead, ahead_x))
@@ -478,7 +478,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
             gaps = {}
             if offsets:
                 gaps = dict(zip(offsets, compute_error_metric(
-                    ahead_model, np.stack([block[i][2] for i in offsets]),
+                    ahead.model, np.stack([block[i][2] for i in offsets]),
                     cfg.estimator_inputs_window(k, offsets[-1] + cfg.n_fd), cfg.delta_s,
                     offsets=offsets,
                 ).tolist()))
@@ -499,7 +499,7 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
             s = k + i
             if i > 0 and _fires(cfg.scheme, s, trigger, cfg.period):
                 break
-            state, x_hat, reduced = ahead, ahead_x, ahead_model
+            state, x_hat = ahead, ahead_x
             e_l = gaps.get(i, e_l)
             trigger.record(e_l)
             if fired:

@@ -55,7 +55,10 @@ class Clustering:
     n_clusters: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", np.asarray(self.assignment, dtype=int))
+        given = np.asarray(self.assignment)
+        if given.dtype.kind == "f" and not np.all(np.isfinite(given) & (given == np.floor(given))):
+            raise ValidationError("cluster assignment must hold integer ids")
+        object.__setattr__(self, "assignment", np.asarray(given, dtype=int))
         if self.assignment.ndim != 1 or self.assignment.size == 0:
             raise ValidationError(f"cluster assignment has shape {self.assignment.shape}, expected (n,), n >= 1")
         ids = np.unique(self.assignment)

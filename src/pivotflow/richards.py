@@ -225,7 +225,7 @@ def _surface_flux(surface, forcing, grid: CylindricalGrid, rows: int) -> np.ndar
 
 
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
-    """Measurement y = C x + v where C selects the sensor rows."""
+    """Measurement y = C x + v where C selects the sensor rows; v, if given, has one entry per sensor."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(sensor_nodes, dtype=int)
     if s.size == 0:
@@ -234,7 +234,10 @@ def observe(x, sensor_nodes, v=None) -> np.ndarray:
         raise BadSensorIndex(f"sensor index out of range [0, {x.size})")
     y = x[s].copy()
     if v is not None:
-        y = y + np.asarray(v, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if v.shape != (s.size,):
+            raise DimensionMismatch(f"noise has shape {v.shape}, expected ({s.size},), one entry per sensor")
+        y = y + v
     return y
 
 

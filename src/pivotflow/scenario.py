@@ -103,6 +103,8 @@ class ScenarioConfig:
         for vals, name in ((self.initial_truth, "initial_truth"), (self.initial_guess, "initial_guess")):
             if len(vals) not in (1, 4):
                 raise ValidationError(f"{name} must have length 1 or 4 (per quadrant)")
+            if not np.all(np.isfinite(vals)):
+                raise ValidationError(f"{name} must be finite")
         sensors = np.asarray(self.sensors, dtype=int)
         if sensors.size == 0:
             raise ValidationError("sensors must be a nonempty node list")

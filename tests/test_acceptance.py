@@ -75,9 +75,8 @@ def test_criterion_1_oracle_equivalence():
 
     # filter under test: reduced EKF on the identity (singleton) projection
     reduced = ReducedModel(model, Clustering.singletons(n))
-    u = reduced.projection
     guess = np.full(n, -7.0)
-    state = initialize_filter(u, guess, noise, sensors)
+    state = initialize_filter(reduced, guess, noise, sensors)
     r_cov = noise.measurement_cov(sensors.size)
 
     # oracle: textbook full-order EKF written against the same stepper
@@ -90,7 +89,7 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     for k in range(100):
         if k > 0:
-            state = ekf_predict(state, reduced, *inputs[k - 1], 900.0)
+            state = ekf_predict(state, *inputs[k - 1], 900.0)
             base = model.step(x_ref, *inputs[k - 1], 900.0)
             jac = np.empty((n, n))
             for i in range(n):
@@ -320,13 +319,13 @@ def test_criterion_7_relative_cost():
     # full-order EKF on the same fixture: identity projection, same stepper
     model = cfg.estimator_model()
     reduced = ReducedModel(model, Clustering.singletons(grid.n_nodes))
-    state = initialize_filter(reduced.projection, cfg.guess_state0(), cfg.ekf, sensors)
+    state = initialize_filter(reduced, cfg.guess_state0(), cfg.ekf, sensors)
     r_cov = cfg.ekf.measurement_cov(len(sensors))
     times = []
     for k in range(4):
         tic = time.perf_counter()
         if k > 0:
-            state = ekf_predict(state, reduced, *cfg.estimator_inputs(k - 1), cfg.delta_s)
+            state = ekf_predict(state, *cfg.estimator_inputs(k - 1), cfg.delta_s)
         state = ekf_update(state, truth.measurements[k], r_cov)
         times.append(time.perf_counter() - tic)
     full_mean = float(np.mean(times[1:]))  # first iteration has no prediction

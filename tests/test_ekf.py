@@ -7,6 +7,7 @@ import pytest
 
 from pivotflow import (
     Clustering,
+    CylindricalGrid,
     DimensionMismatch,
     FullModel,
     NoiseConfig,
@@ -47,23 +48,26 @@ class LinearTestModel:
         return np.array([self.a @ row for row in xi])
 
 
-def make_state(xi, cov, q_r, c_r, projection=None, model_index=1):
-    xi = np.asarray(xi, dtype=float)
-    if projection is None:
-        projection = build_projection(Clustering.singletons(xi.size))
+def make_state(xi, cov, q_r, c_r, model=None, model_index=1):
     return ReducedEkfState(
-        xi=xi, cov=np.asarray(cov, float), q_r=np.asarray(q_r, float),
-        c_r=np.asarray(c_r, float), projection=projection, model_index=model_index,
+        xi=np.asarray(xi, dtype=float), cov=np.asarray(cov, float), q_r=np.asarray(q_r, float),
+        c_r=np.asarray(c_r, float), model=model, model_index=model_index,
     )
+
+
+def reduced_on(clustering, soil):
+    """``clustering``'s ReducedModel over a grid of 3-node columns, as many nodes as it assigns."""
+    n = clustering.assignment.size
+    return ReducedModel(FullModel(CylindricalGrid(n // 3, 1, 3, radius=2.0, depth=0.3), soil), clustering)
 
 
 class TestPredict:
     def test_fd_jacobian_recovers_linear_dynamics(self):
         rng = np.random.default_rng(0)
         a = rng.normal(0, 0.5, (4, 4))
-        model = LinearTestModel(a)
-        state = make_state(rng.normal(0, 3, 4), np.eye(4), np.zeros((4, 4)), np.zeros((1, 4)))
-        out = ekf_predict(state, model, None, None, 1.0)
+        state = make_state(rng.normal(0, 3, 4), np.eye(4), np.zeros((4, 4)), np.zeros((1, 4)),
+                           LinearTestModel(a))
+        out = ekf_predict(state, None, None, 1.0)
         # P' = A P A^T exactly when Q = 0 and the Jacobian is recovered
         assert np.abs(out.cov - a @ a.T).max() < 1e-5
         assert np.abs(out.xi - a @ state.xi).max() == 0.0
@@ -76,13 +80,12 @@ class TestPredict:
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, substeps=4)
         reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 7, 7))
-        u = reduced.projection
 
         rng = np.random.default_rng(5)
         state = make_state(rng.uniform(-20.0, -8.0, 7), np.eye(7), 0.1 * np.eye(7),
-                           np.zeros((1, 7)), projection=u)
+                           np.zeros((1, 7)), model=reduced)
         inputs = (SurfaceInput(np.full(grid.n_r, 2e-7), 2), StepForcing(rain=1e-8))
-        batched = ekf_predict(state, reduced, *inputs, 900.0)
+        batched = ekf_predict(state, *inputs, 900.0)
 
         f0 = reduced.step(state.xi, *inputs, 900.0)
         jac = np.empty((7, 7))
@@ -103,15 +106,14 @@ class TestPredict:
 
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         reduced = ReducedModel(FullModel(grid, loam, substeps=4), Clustering(np.arange(grid.n_nodes) % 7, 7))
-        u = reduced.projection
-        state = make_state(np.full(7, -20.0), np.eye(7), 0.1 * np.eye(7), np.zeros((1, 7)), projection=u)
+        state = make_state(np.full(7, -20.0), np.eye(7), 0.1 * np.eye(7), np.zeros((1, 7)), model=reduced)
         full_rows, reduced_rows = [], []
         full_step, reduced_step = FullModel.step, ReducedModel.step
         monkeypatch.setattr(FullModel, "step",
                             lambda self, x, *a: full_rows.append(np.shape(x)) or full_step(self, x, *a))
         monkeypatch.setattr(ReducedModel, "step",
                             lambda self, x, *a: reduced_rows.append(np.shape(x)) or reduced_step(self, x, *a))
-        ekf_predict(state, reduced, SurfaceInput(np.zeros(grid.n_r), 0), StepForcing(), 900.0)
+        ekf_predict(state, SurfaceInput(np.zeros(grid.n_r), 0), StepForcing(), 900.0)
         assert full_rows == []
         assert reduced_rows == [(8, 7)]
 
@@ -125,18 +127,20 @@ class TestPredict:
                 calls.append(np.shape(xi))
                 return super().step(xi, surface, forcing, dt)
 
-        state = make_state([1.0, -2.0, 0.5], np.eye(3), np.zeros((3, 3)), np.zeros((1, 3)))
-        ekf_predict(state, Counted(0.9 * np.eye(3)), None, None, 1.0)
+        state = make_state([1.0, -2.0, 0.5], np.eye(3), np.zeros((3, 3)), np.zeros((1, 3)),
+                           Counted(0.9 * np.eye(3)))
+        ekf_predict(state, None, None, 1.0)
         assert calls == [(4, 3)]
 
     def test_frozen_dynamics_keep_covariance(self):
-        state = make_state([1.0, -2.0], 0.3 * np.eye(2), np.zeros((2, 2)), np.zeros((1, 2)))
-        out = ekf_predict(state, LinearTestModel(np.eye(2)), None, None, 1.0)
+        state = make_state([1.0, -2.0], 0.3 * np.eye(2), np.zeros((2, 2)), np.zeros((1, 2)),
+                           LinearTestModel(np.eye(2)))
+        out = ekf_predict(state, None, None, 1.0)
         assert np.abs(out.cov - state.cov).max() < 1e-9
 
     def test_scalar_closed_form(self):
-        state = make_state([1.0], [[1.0]], [[0.5]], np.zeros((1, 1)))
-        out = ekf_predict(state, LinearTestModel([[2.0]]), None, None, 1.0)
+        state = make_state([1.0], [[1.0]], [[0.5]], np.zeros((1, 1)), LinearTestModel([[2.0]]))
+        out = ekf_predict(state, None, None, 1.0)
         assert out.cov[0, 0] == pytest.approx(4.5, rel=1e-5)
 
     def test_covariance_stays_symmetric(self):
@@ -144,8 +148,8 @@ class TestPredict:
         a = rng.normal(0, 1, (5, 5))
         p0 = rng.normal(size=(5, 5))
         p0 = p0 @ p0.T
-        state = make_state(rng.normal(size=5), p0, np.eye(5), np.zeros((2, 5)))
-        out = ekf_predict(state, LinearTestModel(a), None, None, 1.0)
+        state = make_state(rng.normal(size=5), p0, np.eye(5), np.zeros((2, 5)), LinearTestModel(a))
+        out = ekf_predict(state, None, None, 1.0)
         assert np.array_equal(out.cov, out.cov.T)
 
 
@@ -174,14 +178,13 @@ class TestUpdate:
         q = 0.01 * np.eye(4)
         r = 0.1 * np.eye(2)
         x_true = rng.normal(size=4)
-        state = make_state(np.zeros(4), np.eye(4), q, c)
+        state = make_state(np.zeros(4), np.eye(4), q, c, LinearTestModel(a))
         x_ref = np.zeros(4)
         p_ref = np.eye(4)
-        model = LinearTestModel(a)
         for _ in range(100):
             x_true = a @ x_true + rng.normal(0, 0.1, 4)
             y = c @ x_true + rng.normal(0, np.sqrt(0.1), 2)
-            state = ekf_predict(state, model, None, None, 1.0)
+            state = ekf_predict(state, None, None, 1.0)
             state = ekf_update(state, y, r)
             # reference: straight textbook equations
             x_ref = a @ x_ref
@@ -209,88 +212,112 @@ class TestUpdate:
 
 
 class TestReconstructAndTransfer:
-    def test_singleton_roundtrip(self):
-        u = build_projection(Clustering.singletons(6))
+    def test_singleton_roundtrip(self, loam):
         noise = NoiseConfig()
         x = np.linspace(-9, -4, 6)
-        state = initialize_filter(u, x, noise, [0, 3])
+        state = initialize_filter(reduced_on(Clustering.singletons(6), loam), x, noise, [0, 3])
         assert np.array_equal(reconstruct(state), x)
 
-    def test_one_cluster_weight_algebra(self):
+    def test_one_cluster_weight_algebra(self, loam):
         n = 9
-        u = build_projection(Clustering(np.zeros(n, dtype=int), 1))
-        state = make_state([np.sqrt(n) * -7.5], [[1.0]], [[1.0]], [[1.0 / np.sqrt(n)]], u)
+        model = reduced_on(Clustering(np.zeros(n, dtype=int), 1), loam)
+        state = make_state([np.sqrt(n) * -7.5], [[1.0]], [[1.0]], [[1.0 / np.sqrt(n)]], model)
         assert reconstruct(state) == pytest.approx(np.full(n, -7.5), rel=1e-12)
 
-    def test_transfer_to_same_projection_is_identity(self):
+    def test_transfer_to_same_projection_is_identity(self, loam):
         rng = np.random.default_rng(3)
         assignment = np.array([0, 0, 1, 1, 2, 2])
-        u = build_projection(Clustering(assignment, 3))
+        model = reduced_on(Clustering(assignment, 3), loam)
         noise = NoiseConfig(q_diag=0.3, p0_diag=1.0, p0_offdiag=1e-4)
-        state = initialize_filter(u, rng.normal(-8, 1, 6), noise, [1, 4])
-        out = transfer_model(state, u, noise, [1, 4])
+        state = initialize_filter(model, rng.normal(-8, 1, 6), noise, [1, 4])
+        out = transfer_model(state, model, noise, [1, 4])
         assert np.abs(out.xi - state.xi).max() < 1e-12
         assert np.abs(out.cov - state.cov).max() < 1e-12
         assert out.model_index == 2
 
-    def test_transfer_through_full_space_explicit_product(self):
+    def test_transfer_through_full_space_explicit_product(self, loam):
         # 6-node fixture: transfer to the single-cluster model and compare with
         # the dense-matrix composition computed by hand
         rng = np.random.default_rng(4)
-        u_old = build_projection(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3))
-        u_new = build_projection(Clustering(np.zeros(6, dtype=int), 1))
+        old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        new = reduced_on(Clustering(np.zeros(6, dtype=int), 1), loam)
+        u_old, u_new = old.projection, new.projection
         noise = NoiseConfig()
         p = rng.normal(size=(3, 3))
         p = p @ p.T
-        state = make_state(rng.normal(size=3), p, np.eye(3), sensor_output_map(u_old, [0]), u_old)
-        out = transfer_model(state, u_new, noise, [0])
+        state = make_state(rng.normal(size=3), p, np.eye(3), sensor_output_map(u_old, [0]), old)
+        out = transfer_model(state, new, noise, [0])
         m = u_new.toarray().T @ u_old.toarray()
         assert np.abs(out.xi - m @ state.xi).max() < 1e-12
         assert np.abs(out.cov - m @ p @ m.T).max() < 1e-12
         assert np.abs(out.c_r - u_new.toarray()[[0], :]).max() == 0.0
 
-    def test_transfer_never_increases_total_variance(self):
+    def test_transfer_never_increases_total_variance(self, loam):
         rng = np.random.default_rng(6)
         for _ in range(20):
             n = 12
             raw = rng.integers(0, 5, n)
             ids = {}
             a_old = np.array([ids.setdefault(int(v), len(ids)) for v in raw])
-            u_old = build_projection(Clustering(a_old, len(ids)))
+            old = reduced_on(Clustering(a_old, len(ids)), loam)
+            u_old = old.projection
             ids = {}
             raw = rng.integers(0, 4, n)
             a_new = np.array([ids.setdefault(int(v), len(ids)) for v in raw])
-            u_new = build_projection(Clustering(a_new, len(ids)))
+            new = reduced_on(Clustering(a_new, len(ids)), loam)
             p = rng.normal(size=(u_old.shape[1], u_old.shape[1]))
             p = p @ p.T
             state = make_state(rng.normal(size=u_old.shape[1]), p, np.eye(u_old.shape[1]),
-                               sensor_output_map(u_old, [0]), u_old)
-            out = transfer_model(state, u_new, NoiseConfig(), [0])
+                               sensor_output_map(u_old, [0]), old)
+            out = transfer_model(state, new, NoiseConfig(), [0])
             lifted_trace = np.trace(u_old.toarray() @ p @ u_old.toarray().T)
             assert np.trace(out.cov) <= lifted_trace + 1e-9
 
-    def test_switch_continuity_is_cluster_mean_projection(self):
+    def test_switch_continuity_is_cluster_mean_projection(self, loam):
         # reconstructing after a transfer equals the new model's cluster-mean
         # view of the reconstruction before it
         rng = np.random.default_rng(13)
-        u_old = build_projection(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3))
-        u_new = build_projection(Clustering(np.array([0, 1, 0, 1, 2, 2]), 3))
+        old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        new = reduced_on(Clustering(np.array([0, 1, 0, 1, 2, 2]), 3), loam)
+        u_new = new.projection
         p = rng.normal(size=(3, 3))
         state = make_state(rng.normal(size=3), p @ p.T, np.eye(3),
-                           sensor_output_map(u_old, [0]), u_old)
+                           sensor_output_map(old.projection, [0]), old)
         before = reconstruct(state)
-        after = reconstruct(transfer_model(state, u_new, NoiseConfig(), [0]))
+        after = reconstruct(transfer_model(state, new, NoiseConfig(), [0]))
         assert np.abs(after - u_new @ (u_new.T @ before)).max() < 1e-12
 
-    def test_estimate_ceiling_caps_lifted_values(self):
-        clustering = Clustering(np.array([0, 0, 1]), 2)
-        u = build_projection(clustering)
+    def test_estimate_ceiling_caps_lifted_values(self, loam):
+        model = reduced_on(Clustering(np.array([0, 0, 1]), 2), loam)
         state = make_state(np.array([3.0 * np.sqrt(2), -4.0]), np.eye(2), np.eye(2),
-                           sensor_output_map(u, [0]), u)
-        capped = clamp_estimate(state, -0.5 / clustering.weights)
+                           sensor_output_map(model.projection, [0]), model)
+        capped = clamp_estimate(state, -0.5)
         lifted = reconstruct(capped)
         assert lifted.max() <= -0.5 + 1e-12
         assert lifted[2] == pytest.approx(-4.0)  # already-valid cluster untouched
+
+    def test_transfer_to_another_grid_rejected(self, loam):
+        old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        other = reduced_on(Clustering(np.zeros(9, dtype=int), 1), loam)
+        state = initialize_filter(old, np.full(6, -8.0), NoiseConfig(), [0])
+        with pytest.raises(DimensionMismatch, match="projections must share the full state dimension"):
+            transfer_model(state, other, NoiseConfig(), [0])
+
+    def test_transferred_state_carries_and_clamps_under_new_model(self, loam):
+        # after a transfer the state steps, lifts and clamps in the new
+        # model's coordinates: here one cluster of 3 nodes and one of 6
+        old = reduced_on(Clustering.singletons(9), loam)
+        new = reduced_on(Clustering(np.array([0, 0, 0, 1, 1, 1, 1, 1, 1]), 2), loam)
+        x = np.array([2.0, 3.0, 4.0, -6.0, -5.0, -4.0, -6.0, -5.0, -4.0])
+        state = transfer_model(initialize_filter(old, x, NoiseConfig(), [0, 4]), new, NoiseConfig(), [0, 4])
+        assert state.model is new
+        assert reconstruct(state) == pytest.approx([3.0] * 3 + [-5.0] * 6, rel=1e-12)
+        capped = clamp_estimate(state, -0.5)
+        assert capped.model is new
+        lifted = reconstruct(capped)
+        assert lifted.max() <= -0.5 + 1e-12
+        assert lifted[:3] == pytest.approx([-0.5] * 3, rel=1e-12)
+        assert np.array_equal(lifted[3:], reconstruct(state)[3:])  # a cluster under the ceiling is untouched
 
 
 class TestErrorMetric:

@@ -329,6 +329,17 @@ class TestProjection:
         with pytest.raises(ValidationError, match="cluster assignment has shape"):
             make()
 
+    @pytest.mark.parametrize("assignment", [[0.0, 0.7, 1.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]],
+                             ids=["fraction", "nan", "inf"])
+    def test_non_integral_assignment_rejected(self, assignment):
+        # int() would truncate [0, 0.7, 1.2] to [0, 0, 1] silently
+        with pytest.raises(ValidationError, match="cluster assignment must hold integer ids"):
+            Clustering(np.array(assignment), 2)
+
+    def test_integral_float_assignment_accepted(self):
+        c = Clustering(np.array([0.0, 1.0, 0.0]), 2)
+        assert c.assignment.dtype.kind == "i" and c.assignment.tolist() == [0, 1, 0]
+
     def test_weights_are_the_projection_columns(self):
         c = Clustering(np.array([0, 1, 0, 2, 0, 1, 0]), 3)
         assert c.weights.tolist() == [0.5, 1.0 / np.sqrt(2.0), 1.0]

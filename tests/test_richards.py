@@ -501,6 +501,13 @@ class TestObserve:
         y = observe(x, [1, 3], v=np.array([0.5, -0.5]))
         assert np.array_equal(y, [0.5, -0.5])
 
+    @pytest.mark.parametrize("v", [np.array([1.0]), np.array([1.0, 2.0]), np.zeros(4), np.zeros((3, 1))],
+                             ids=["1", "2", "4", "3x1"])
+    def test_noise_needs_one_entry_per_sensor(self, v):
+        # one noise value would otherwise broadcast over every sensor
+        with pytest.raises(DimensionMismatch, match=r"expected \(3,\)"):
+            observe(np.zeros(5), [0, 1, 2], v=v)
+
     def test_bad_sensor_index(self):
         with pytest.raises(BadSensorIndex):
             observe(np.zeros(10), [10])

@@ -107,6 +107,10 @@ def test_bad_value_raises_validation_error_naming_the_key(key, change):
     ("ekf.p0_diag", np.inf),
     ("ekf.p0_offdiag", np.nan),
     ("seed", -1),
+    ("initial_truth", np.nan),
+    ("initial_truth", [-12.0, -np.inf, -11.0, -10.0]),
+    ("initial_guess", np.inf),
+    ("initial_guess", [-9.0, -9.0, np.nan, -9.0]),
 ])
 def test_non_finite_or_out_of_range_value_names_the_key(key, value):
     # each check reads "not <valid range>", so NaN fails it as well as values outside the range

@@ -12,7 +12,6 @@ from .ekf import (
     ReducedEkfState,
     TriggerState,
     clamp_estimate,
-    compute_error_metric,
     ekf_predict,
     ekf_update,
     initialize_filter,
@@ -41,9 +40,11 @@ from .reduction import (
     SnapshotMatrix,
     build_projection,
     cluster_trajectories,
+    compute_error_metric,
     generate_snapshots,
     lift_state,
     reduce_state,
+    rollout,
 )
 from .richards import (
     FullModel,

@@ -11,11 +11,7 @@ carried over through the full-order space.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -35,6 +31,7 @@ from .grid import CylindricalGrid
 from .reduction import (
     ReducedModel,
     cluster_trajectories,
+    compute_error_metric,
     generate_snapshots,
     lift_state,
     reduce_state,
@@ -48,10 +45,12 @@ SCHEMES = ("performance", "static", "time-triggered")
 # a forked helper takes the later half of the windows, so each process makes
 # n_fd calls of about W/2 rows and holds only its half of the trajectories.
 # Measured on the benchmark's desk-shift workload (720 nodes, n_fd 32, 2-core
-# VM; seeds 1-3, medians), estimate_s / peak RSS of the estimating process by
-# look-ahead, one process | split: 16: 5.48 s / 76.9 MB | 4.67 s / 75.1 MB;
-# 32: 5.72 s / 81.1 MB | 3.51 s / 77.3 MB; 64: 4.82 s / 89.8 MB | 3.64 s /
-# 81.9 MB. Split, 32 is as fast as 64 and holds 6 % less memory.
+# VM; seeds 1-3, medians) while the helper was a hand-rolled fork and before
+# flat sub-steps, so the seconds predate both; estimate_s / peak RSS of the
+# estimating process by look-ahead, one process | split: 16: 5.48 s / 76.9 MB
+# | 4.67 s / 75.1 MB; 32: 5.72 s / 81.1 MB | 3.51 s / 77.3 MB; 64: 4.82 s /
+# 89.8 MB | 3.64 s / 81.9 MB. Split, 32 is as fast as 64 and holds 6 % less
+# memory.
 _LOOKAHEAD = 32
 
 
@@ -228,80 +227,6 @@ def transfer_model(state: ReducedEkfState, model: ReducedModel, noise: NoiseConf
     )
 
 
-def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, offsets) -> np.ndarray:
-    """Mean-per-node cumulative absolute gap between reduced and full open-loop runs, per window.
-
-    Both models start from a full-grid estimate (the reduced one from its
-    projection) and run the same scheduled inputs without noise: the full
-    rows with ``reduced.full.step``, the reduced rows with ``reduced.step``.
-
-    ``x_hat_full`` is a (W, n) batch of start states, one per window, and
-    ``offsets`` their ascending clock ticks; an array of W gaps is returned.
-    Window w runs over ``inputs[offsets[w]:offsets[w] + horizon]``, where
-    ``horizon = len(inputs) - offsets[-1]``. The windows advance in lock
-    step on their own local ticks: at local tick j one full call steps all
-    the rows of a process, row w with ``inputs[offsets[w] + j]``, and one
-    reduced call does the same.
-
-    With two or more windows and at least two CPUs, a one-worker
-    ``ProcessPoolExecutor`` on the ``fork`` context runs the later half of
-    the windows while this process runs the earlier half, and the halves
-    are joined. Each row of a batch equals its single-window call bit for
-    bit, so each gap does too, however the windows are split. The executor
-    is shut down, its worker and threads joined, before the call returns
-    or raises. An exception in the helper, such as a ``PivotflowError``, is
-    raised here with its type and message; a helper that exits without a
-    result raises ``ChildProcessError``. If no process can be started,
-    every window runs here.
-    """
-    starts = np.atleast_2d(np.asarray(x_hat_full, dtype=float))
-    ticks = np.asarray(offsets, dtype=int)
-    if ticks.size == 0 or ticks.shape != starts.shape[:1] or np.any(np.diff(ticks) < 0) or ticks[0] < 0:
-        raise DimensionMismatch("offsets must be ascending, nonnegative and one per start state, at least one")
-    horizon = len(inputs) - ticks[-1]
-    if horizon < 1:
-        raise ValidationError("error metric needs at least one prediction interval")
-    if ticks.size < 2 or not hasattr(os, "fork") or _cpus() < 2:
-        return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
-
-    half = ticks.size // 2
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as helper:
-        try:
-            tail = helper.submit(_window_gaps, reduced, starts[half:], inputs, ticks[half:], horizon, dt)
-        except OSError:  # no process to spare: run every window here
-            return _window_gaps(reduced, starts, inputs, ticks, horizon, dt)
-        head = _window_gaps(reduced, starts[:half], inputs, ticks[:half], horizon, dt)
-        try:
-            return np.concatenate([head, tail.result()])
-        except BrokenProcessPool as exc:
-            raise ChildProcessError("e_L helper process exited without a result") from exc
-
-
-def _window_gaps(reduced: ReducedModel, starts: np.ndarray, inputs, ticks: np.ndarray,
-                 horizon: int, dt: float) -> np.ndarray:
-    """The e_L gaps of the windows at ``ticks``, advanced in lock step over ``horizon`` local ticks."""
-    model, projection = reduced.full, reduced.projection
-    full_traj = np.empty((ticks.size, horizon + 1, model.n_states))
-    red_traj = np.empty((ticks.size, horizon + 1, reduced.order))
-    full_traj[:, 0] = starts
-    red_traj[:, 0] = reduce_state(projection, starts)
-    for j in range(horizon):
-        surfaces, forcings = zip(*(inputs[t + j] for t in ticks))
-        full_traj[:, j + 1] = model.step(full_traj[:, j], surfaces, forcings, dt)
-        red_traj[:, j + 1] = reduced.step(red_traj[:, j], surfaces, forcings, dt)
-    # one contiguous (horizon, n) gap array per window keeps the summation order
-    return np.array([np.abs(lift_state(projection, red)[1:] - full[1:]).sum() / model.n_states
-                     for full, red in zip(full_traj, red_traj)])
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @dataclass
 class TriggerState:
     """Rolling view of the error metric used by the re-identification test."""
@@ -414,6 +339,10 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
         raise DimensionMismatch(
             f"measurements have shape {measurements.shape}, expected ({n}, {sensors.size})"
         )
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.ndim != 2 or truth.shape[0] < n or truth.shape[1] != cfg.n_x:
+            raise DimensionMismatch(f"truth has shape {truth.shape}, expected ({n}, {cfg.n_x}), or more rows")
 
     trigger = TriggerState(th_e=cfg.th_e, slope_limit=cfg.slope_limit)
     x_hat = cfg.guess_state0()

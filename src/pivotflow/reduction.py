@@ -16,6 +16,9 @@ not with the grid.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -23,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
-from .richards import FullModel, _stencil, _surface_flux, _uptake_scale, root_weight, stress_factor
+from .richards import MAX_HEAD, FullModel, _stencil, _surface_flux, _uptake_scale, root_weight, stress_factor
 from .soil import VanGenuchtenParams, _capacity, _conductivity, _suction_logs
 
 
@@ -79,11 +82,42 @@ class Clustering:
         return cls(np.arange(n_nodes), n_nodes)
 
 
+def _windows(starts, inputs, offsets):
+    """``starts`` as a (W, size) batch, ``offsets`` as W integer ticks, and the windows' common horizon."""
+    starts, ticks = np.atleast_2d(np.asarray(starts, dtype=float)), np.asarray(offsets)
+    if ticks.dtype.kind == "f" and np.all(np.isfinite(ticks) & (ticks == np.floor(ticks))):
+        ticks = ticks.astype(int)
+    if (ticks.dtype.kind not in "iu" or ticks.size == 0 or ticks.shape != starts.shape[:1]
+            or np.any(np.diff(ticks) < 0) or ticks[0] < 0):
+        raise DimensionMismatch("offsets must be integral, ascending, nonnegative and one per start, at least one")
+    if len(inputs) <= ticks[-1]:
+        raise ValidationError("an open-loop run needs at least one interval after its last offset")
+    return starts, ticks, len(inputs) - int(ticks[-1])
+
+
+def rollout(model, starts, inputs, dt: float, offsets=(0,)) -> np.ndarray:
+    """Noise-free open-loop runs of ``model`` (a ``FullModel`` or ``ReducedModel``) from W start states.
+
+    ``starts`` is a (W, size) batch, or one (size,) state, and ``offsets``
+    its W ascending, nonnegative integer ticks. Window w runs over
+    ``inputs[offsets[w]:offsets[w] + horizon]``, ``horizon = len(inputs) -
+    offsets[-1]`` >= 1. The windows advance in lock step: at local tick j one
+    ``model.step`` call advances every row, row w with ``inputs[offsets[w] +
+    j]``, so each row equals its one-row run bit for bit. Returns the (W,
+    horizon + 1, size) trajectories, start states first.
+    """
+    starts, ticks, horizon = _windows(starts, inputs, offsets)
+    traj = np.empty((ticks.size, horizon + 1, starts.shape[1]))
+    traj[:, 0] = starts
+    for j in range(horizon):
+        surfaces, forcings = zip(*(inputs[t + j] for t in ticks))
+        traj[:, j + 1] = model.step(traj[:, j], surfaces, forcings, dt)
+    return traj
+
+
 def generate_snapshots(model: FullModel, x0, inputs, dt: float) -> SnapshotMatrix:
-    """Noise-free forward simulation of the full model over the input schedule."""
-    if len(inputs) < 1:
-        raise ValidationError("snapshot generation needs at least one interval")
-    return SnapshotMatrix(model.simulate(x0, inputs, dt))
+    """Noise-free open-loop run of the full model from x0 over the input schedule."""
+    return SnapshotMatrix(rollout(model, x0, inputs, dt)[0])
 
 
 def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
@@ -295,7 +329,7 @@ class ReducedModel:
         f is the full model's right-hand side, so this is explicit Euler on
         the Galerkin-projected dynamics. Per sub-step it evaluates the soil
         closures once per group and one flux per group pair, and it raises
-        ``UnstableStep`` when a lifted head leaves |h| <= 1e6, as
+        ``UnstableStep`` when a lifted head leaves |h| <= ``MAX_HEAD``, as
         ``FullModel.step`` does. ``xi`` may also be a (B, order) batch, with
         inputs shared by every row or one per row as ``FullModel.step``
         takes them; each row equals a single-state step with its own inputs
@@ -366,7 +400,57 @@ class ReducedModel:
                 change = np.bincount(to_cluster, weights=rate, minlength=state.size)
                 change *= sub
                 state += change
-                # a lifted head beyond any physical suction (or NaN) means the explicit update diverged
-                if not np.abs(np.multiply(state, col_weight, out=change), out=change).max() <= 1e6:
+                if not np.abs(np.multiply(state, col_weight, out=change), out=change).max() <= MAX_HEAD:
                     raise UnstableStep(f"reduced state diverged after a sub-step of {sub:g} s; increase substeps")
         return out.reshape(xi.shape)
+
+
+def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, offsets) -> np.ndarray:
+    """Mean-per-node cumulative absolute gap between reduced and full open-loop runs, per window.
+
+    Both models run open loop from the (W, n) full-grid starts ``x_hat_full``
+    over the windows of ``offsets``, as in ``rollout``, the full model first:
+    if both runs diverge, the full run's error is raised. W gaps are returned.
+
+    With two or more windows and at least two CPUs, a one-worker
+    ``ProcessPoolExecutor`` on the ``fork`` context runs the later half of
+    the windows while this process runs the earlier half. Rows equal their
+    one-row runs bit for bit, so the joined gaps do not depend on the split.
+    The executor's worker and threads are joined before the call returns or
+    raises. A helper's exception, such as a ``PivotflowError``, is raised
+    here with its type and message; a helper that exits without a result
+    raises ``ChildProcessError``. Without a process to spare, every window runs here.
+    """
+    starts, ticks, horizon = _windows(x_hat_full, inputs, offsets)
+    if ticks.size < 2 or not hasattr(os, "fork") or _cpus() < 2:
+        return _window_gaps(reduced, starts, inputs, ticks, dt)
+
+    half = ticks.size // 2
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as helper:
+        try:
+            tail = helper.submit(_window_gaps, reduced, starts[half:], inputs, ticks[half:], dt)
+        except OSError:  # no process to spare: run every window here
+            return _window_gaps(reduced, starts, inputs, ticks, dt)
+        # the earlier half's inputs end where the later half's do: every window keeps the horizon
+        head = _window_gaps(reduced, starts[:half], inputs[:ticks[half - 1] + horizon], ticks[:half], dt)
+        try:
+            return np.concatenate([head, tail.result()])
+        except BrokenExecutor as exc:
+            raise ChildProcessError("e_L helper process exited without a result") from exc
+
+
+def _window_gaps(reduced: ReducedModel, starts: np.ndarray, inputs, ticks: np.ndarray, dt: float) -> np.ndarray:
+    """The e_L gaps of the windows at ``ticks``: a full ``rollout`` and a reduced one from the projected starts."""
+    projection, n = reduced.projection, reduced.full.n_states
+    full = rollout(reduced.full, starts, inputs, dt, ticks)
+    red = rollout(reduced, reduce_state(projection, starts), inputs, dt, ticks)
+    # one contiguous (horizon, n) gap array per window keeps the summation order
+    return np.array([np.abs(lift_state(projection, r)[1:] - f[1:]).sum() / n for f, r in zip(full, red)])
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1

@@ -27,6 +27,8 @@ from .grid import CylindricalGrid
 from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
+# |h| [m] beyond any physical suction: a stepped head past it (or NaN) means the explicit update diverged
+MAX_HEAD = 1e6
 
 
 @dataclass(frozen=True)
@@ -419,8 +421,7 @@ class FullModel:
             rate, g_bottom, sink = self._rates(h, inflow, scale, work)
             rate *= sub
             h += rate
-            # |h| beyond any physical suction (or NaN) means the explicit update diverged
-            if not np.abs(h, out=work.face).max() <= 1e6:
+            if not np.abs(h, out=work.face).max() <= MAX_HEAD:
                 raise UnstableStep(
                     f"state diverged after a sub-step of {sub:g} s; increase substeps"
                 )
@@ -429,11 +430,3 @@ class FullModel:
                 budget.drainage += float(np.sum(g_bottom * area)) * sub
                 budget.extraction += float(np.sum(-sink.reshape(volume.shape) * volume)) * sub
         return h.reshape(x.shape)
-
-    def simulate(self, x0, inputs, dt):
-        """Chain steps over (surface, forcing) pairs; returns (len(inputs)+1, n) states."""
-        out = np.empty((len(inputs) + 1, self.n_states))
-        out[0] = np.asarray(x0, dtype=float)
-        for j, (surface, forcing) in enumerate(inputs):
-            out[j + 1] = self.step(out[j], surface, forcing, dt)
-        return out

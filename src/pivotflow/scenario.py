@@ -19,6 +19,7 @@ from .ekf import SCHEMES, NoiseConfig
 from .errors import ParseError, ValidationError
 from .grid import CylindricalGrid
 from .richards import (
+    MAX_HEAD,
     FullModel,
     RootUptake,
     StepForcing,
@@ -103,8 +104,8 @@ class ScenarioConfig:
         for vals, name in ((self.initial_truth, "initial_truth"), (self.initial_guess, "initial_guess")):
             if len(vals) not in (1, 4):
                 raise ValidationError(f"{name} must have length 1 or 4 (per quadrant)")
-            if not np.all(np.isfinite(vals)):
-                raise ValidationError(f"{name} must be finite")
+            if not np.all(np.abs(vals) <= MAX_HEAD):  # the steppers' divergence bound; NaN fails it too
+                raise ValidationError(f"{name} must be finite heads with |h| <= {MAX_HEAD:g} m")
         sensors = np.asarray(self.sensors, dtype=int)
         if sensors.size == 0:
             raise ValidationError("sensors must be a nonempty node list")

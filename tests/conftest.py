@@ -84,15 +84,6 @@ def merge_log(data, th_c):
     return tuple(merges)
 
 
-def simulate_reduced(reduced, xi0, inputs, dt):
-    """Chain single-state reduced steps over (surface, forcing) pairs; (len(inputs)+1, r) states."""
-    out = np.empty((len(inputs) + 1, reduced.order))
-    out[0] = np.asarray(xi0, dtype=float)
-    for j, (surface, forcing) in enumerate(inputs):
-        out[j + 1] = reduced.step(out[j], surface, forcing, dt)
-    return out
-
-
 def row_inputs(grid):
     """Four rows of (surface, forcing) inputs that differ in active sector, irrigation rate and rain.
 

@@ -15,6 +15,7 @@ ENTRY_POINTS = (
     "export_artifacts",
     "FullModel",
     "generate_snapshots",
+    "rollout",
     "cluster_trajectories",
     "build_projection",
     "ReducedModel",

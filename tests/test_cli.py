@@ -1,7 +1,10 @@
 """Command-line interface tests."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,15 @@ def test_json_config_accepted(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY))
     assert main(["validate", str(path)]) == 0
+
+
+def test_module_runs_as_the_command():
+    # `python -m pivotflow` works from a checkout with only src/ on the path
+    import pivotflow
+
+    src = str(Path(pivotflow.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "pivotflow", "validate", str(DESK)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("OK: 10x12x6 grid (720 nodes)")

@@ -29,13 +29,14 @@ from pivotflow import (
     initialize_filter,
     reconstruct,
     reduce_state,
+    rollout,
     slope_estimate,
     transfer_model,
 )
-import pivotflow.ekf as ekf
+import pivotflow.reduction as reduction
 from pivotflow.ekf import sensor_output_map
 
-from conftest import dense_cov, reap_leftover_child, simulate_reduced
+from conftest import dense_cov, reap_leftover_child
 
 
 class LinearTestModel:
@@ -368,8 +369,8 @@ class TestErrorMetric:
         x0 = rng.uniform(-12.0, -3.0, grid.n_nodes)
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (j % 2)), j), StepForcing(et=2e-8, k_c=0.5))
                   for j in range(3)]
-        full = model.simulate(x0, inputs, 900.0)
-        red = simulate_reduced(reduced, reduce_state(u, x0), inputs, 900.0)
+        full = rollout(model, x0, inputs, 900.0)[0]
+        red = rollout(reduced, reduce_state(u, x0), inputs, 900.0)[0]
         want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
         assert compute_error_metric(reduced, x0, inputs, 900.0, offsets=[0])[0] == want
 
@@ -391,7 +392,7 @@ class TestErrorMetric:
                    for o, x0 in zip(offsets, starts)]
 
         # one process, so the counting patches see every row
-        monkeypatch.setattr(ekf, "_cpus", lambda: 1)
+        monkeypatch.setattr(reduction, "_cpus", lambda: 1)
         calls, reduced_calls = [], []
         step, reduced_step = FullModel.step, ReducedModel.step
         monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
@@ -413,6 +414,33 @@ class TestErrorMetric:
             compute_error_metric(reduced, starts[:0], window, 900.0, offsets=[])
         with pytest.raises(ValidationError):
             compute_error_metric(reduced, starts, window, 900.0, offsets=[0, 3])
+        for fractional in ([0, 1.5], [0, np.nan]):  # a fractional tick is refused, not truncated
+            with pytest.raises(DimensionMismatch, match="integral"):
+                compute_error_metric(reduced, starts, window, 900.0, offsets=fractional)
+
+    def test_full_run_error_raised_when_both_runs_diverge(self, small_model, monkeypatch):
+        # The full rollout runs to its end before the reduced one starts, so
+        # its error is raised even when the reduced run diverges at an
+        # earlier tick, here the first.
+        reduced = ReducedModel(small_model, Clustering(np.arange(small_model.n_states) % 3, 3))
+        starts = np.full((2, small_model.n_states), -5.0)
+        window = [(SurfaceInput(np.zeros(small_model.grid.n_r), 0), StepForcing())] * 3
+        monkeypatch.setattr(reduction, "_cpus", lambda: 1)
+        ticks = []
+
+        def full_diverges_late(model, x, *args):
+            ticks.append(len(ticks))
+            if len(ticks) == 2:
+                raise UnstableStep("full run diverged at its last tick")
+            return x
+
+        def reduced_diverges_first(model, x, *args):
+            raise UnstableStep("reduced run diverged at its first tick")
+
+        monkeypatch.setattr(FullModel, "step", full_diverges_late)
+        monkeypatch.setattr(ReducedModel, "step", reduced_diverges_first)
+        with pytest.raises(UnstableStep, match="^full run diverged at its last tick$"):
+            compute_error_metric(reduced, starts, window, 900.0, offsets=[0, 1])
 
     def test_empty_window_rejected(self, small_model):
         reduced = ReducedModel(small_model, Clustering.singletons(small_model.n_states))
@@ -430,7 +458,7 @@ class TestErrorMetricHelper:
         """A reduced model, and a maker of (starts, inputs, offsets) for W windows; two CPUs assumed."""
         from pivotflow import CylindricalGrid, RootUptake
 
-        monkeypatch.setattr(ekf, "_cpus", lambda: 2)
+        monkeypatch.setattr(reduction, "_cpus", lambda: 2)
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
         reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 9, 9))

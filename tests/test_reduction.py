@@ -30,8 +30,9 @@ from pivotflow import (
     generate_snapshots,
     lift_state,
     reduce_state,
+    rollout,
 )
-from conftest import hydrostatic_state, merge_log, row_inputs, simulate_reduced
+from conftest import hydrostatic_state, merge_log, row_inputs
 
 
 def reference_average_linkage(data, th_c):
@@ -116,6 +117,22 @@ class TestSnapshots:
     def test_empty_window_rejected(self, small_model):
         with pytest.raises(ValidationError):
             generate_snapshots(small_model, np.full(small_model.n_states, -5.0), [], 600.0)
+
+    def test_window_row_equals_the_snapshot_run_from_its_start(self, desk_grid, loam):
+        # A multi-window rollout's row w is bitwise the snapshot run from
+        # starts[w] over its own window, while the other rows step beside it
+        # on other inputs: an e_L window's full half can stand in for the
+        # snapshots a re-identification at that step would generate.
+        model = FullModel(desk_grid, loam, roots=RootUptake(root_depth=0.3, h_wilting=-16.0), substeps=12)
+        surfaces, forcings = row_inputs(desk_grid)
+        inputs = [(surfaces[t % 4], forcings[t // 2 % 4]) for t in range(9)]  # no two within 5 ticks alike
+        offsets, horizon = [0, 2, 3, 5], 4
+        starts = np.random.default_rng(4).uniform(-12.0, -3.0, (len(offsets), desk_grid.n_nodes))
+        traj = rollout(model, starts, inputs, 900.0, offsets)
+        assert traj.shape == (len(offsets), horizon + 1, desk_grid.n_nodes)
+        for w, o in enumerate(offsets):
+            snaps = generate_snapshots(model, starts[w], inputs[o:o + horizon], 900.0)
+            assert snaps.data.tobytes() == traj[w].tobytes(), w
 
     def test_non_finite_snapshots_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -424,8 +441,8 @@ class TestReducedModel:
              StepForcing(rain=2e-8))
             for k in range(6)
         ]
-        full = model.simulate(x0, inputs, 900.0)
-        red = simulate_reduced(reduced, reduce_state(u, x0), inputs, 900.0)
+        full = rollout(model, x0, inputs, 900.0)[0]
+        red = rollout(reduced, reduce_state(u, x0), inputs, 900.0)[0]
         assert np.array_equal(full, (u @ red.T).T)  # bitwise under identity permutation
 
     def test_equilibrium_preserved(self, small_grid, loam):
@@ -451,9 +468,9 @@ class TestReducedModel:
         u = reduced.projection
         x0 = np.full(n, -5.0)
         inputs = [(SurfaceInput.idle(grid.n_r), StepForcing(rain=1e-7))] * 4
-        full = model.simulate(x0, inputs, 1800.0)
+        full = rollout(model, x0, inputs, 1800.0)[0]
         assert np.ptp(full[-1]) == 0.0  # stays uniform
-        red = simulate_reduced(reduced, reduce_state(u, x0), inputs, 1800.0)
+        red = rollout(reduced, reduce_state(u, x0), inputs, 1800.0)[0]
         lifted = (u @ red.T).T
         assert np.abs(lifted[-1] - full[-1]).max() < 1e-6 * abs(full[-1]).max()
 

@@ -1,5 +1,6 @@
 """Truth twin, scheme orchestration, %MAE, and export tests."""
 
+import re
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from pivotflow import (
     run_truth,
 )
 import pivotflow.ekf as ekf
+import pivotflow.reduction as reduction
 from pivotflow.ekf import run_adaptive_estimation
 from pivotflow.scenario import config_from_dict
 from pivotflow.grid import CylindricalGrid
@@ -181,6 +183,17 @@ class TestSchemes:
             assert art.e_l[s] == art.e_l[s - 1], s
         assert all(art.e_l[s] != art.e_l[s - 1] for s in (3, 6, 9))
 
+    @pytest.mark.parametrize("cut", [lambda s: s[:3], lambda s: s[:, :-1], lambda s: s[0]],
+                             ids=["short", "narrow", "one-row"])
+    def test_short_or_narrow_truth_rejected_before_step_0(self, tiny_cfg, tiny_truth, monkeypatch, cut):
+        updates = []
+        monkeypatch.setattr(ekf, "ekf_update", lambda *args: updates.append(1))
+        truth = cut(tiny_truth.states)
+        expected = f"truth has shape {truth.shape}, expected ({tiny_cfg.steps}, {tiny_cfg.n_x}), or more rows"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(expected)}$"):
+            run_adaptive_estimation(tiny_cfg, tiny_truth.measurements, truth=truth)
+        assert updates == []
+
     def test_covariance_stays_psd(self, tiny_cfg, tiny_truth, monkeypatch):
         # every update is checked, look-ahead ones that a trigger discards too
         update = ekf.ekf_update
@@ -330,7 +343,7 @@ class TestLookahead:
         runs = []
         # the counting legs run in one process, so the patch sees every row; the last leg splits e_L
         for lookahead, cpus in ((1, 1), (ekf._LOOKAHEAD, 1), (ekf._LOOKAHEAD, 2)):
-            monkeypatch.setattr(ekf, "_cpus", lambda: cpus)
+            monkeypatch.setattr(reduction, "_cpus", lambda: cpus)
             rows.append(0)
             runs.append(self._estimate(monkeypatch, lookahead, cfg, truth.measurements, truth=truth.states))
         self._assert_same(runs[1], runs[0])

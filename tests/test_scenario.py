@@ -111,6 +111,11 @@ def test_bad_value_raises_validation_error_naming_the_key(key, change):
     ("initial_truth", [-12.0, -np.inf, -11.0, -10.0]),
     ("initial_guess", np.inf),
     ("initial_guess", [-9.0, -9.0, np.nan, -9.0]),
+    # finite, but beyond the steppers' divergence bound |h| <= MAX_HEAD
+    ("initial_truth", -2e6),
+    ("initial_truth", [-12.0, 5e6, -11.0, -10.0]),
+    ("initial_truth", 1e300),
+    ("initial_guess", 1e300),
 ])
 def test_non_finite_or_out_of_range_value_names_the_key(key, value):
     # each check reads "not <valid range>", so NaN fails it as well as values outside the range

@@ -38,7 +38,6 @@ from .reduction import (
     Clustering,
     ReducedModel,
     SnapshotMatrix,
-    build_projection,
     cluster_trajectories,
     compute_error_metric,
     generate_snapshots,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
+    BadSensorIndex,
     DegenerateReference,
     DimensionMismatch,
     JacobianFailure,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .grid import CylindricalGrid
 from .reduction import (
+    Clustering,
     ReducedModel,
     cluster_trajectories,
     compute_error_metric,
@@ -82,21 +83,21 @@ class NoiseConfig:
     def measurement_cov(self, n_y: int) -> np.ndarray:
         return self.r_diag * np.eye(n_y)
 
-    def _reduced(self, projection: sp.csr_matrix, diag: float, offdiag: float) -> np.ndarray:
-        utu = (projection.T @ projection).toarray()
+    def _reduced(self, clustering: Clustering, diag: float, offdiag: float) -> np.ndarray:
+        utu = reduce_state(clustering, lift_state(clustering, np.eye(clustering.n_clusters)))
         reduced = (diag - offdiag) * utu
         if offdiag:
-            col_sums = np.asarray(projection.sum(axis=0)).ravel()
+            col_sums = reduce_state(clustering, np.ones(clustering.assignment.size))
             reduced = reduced + offdiag * np.outer(col_sums, col_sums)
         return reduced
 
-    def reduced_process_cov(self, projection: sp.csr_matrix) -> np.ndarray:
+    def reduced_process_cov(self, clustering: Clustering) -> np.ndarray:
         """Q_r = U^T Q U."""
-        return self._reduced(projection, self.q_diag, self.q_offdiag)
+        return self._reduced(clustering, self.q_diag, self.q_offdiag)
 
-    def reduced_initial_cov(self, projection: sp.csr_matrix) -> np.ndarray:
+    def reduced_initial_cov(self, clustering: Clustering) -> np.ndarray:
         """P_r(0) = U^T P(0) U."""
-        return self._reduced(projection, self.p0_diag, self.p0_offdiag)
+        return self._reduced(clustering, self.p0_diag, self.p0_offdiag)
 
 
 @dataclass(frozen=True)
@@ -115,20 +116,22 @@ class ReducedEkfState:
         return self.xi.size
 
 
-def sensor_output_map(projection: sp.csr_matrix, sensor_nodes) -> np.ndarray:
-    """C_r = C U: the sensor rows of the projection, densified."""
-    rows = np.asarray(sensor_nodes, dtype=int)
-    return projection[rows, :].toarray()
+def sensor_output_map(clustering: Clustering, sensor_nodes) -> np.ndarray:
+    """C_r = C U: the sensor rows of U, as the sensor columns of U I_r."""
+    nodes, n = np.asarray(sensor_nodes, dtype=int), clustering.assignment.size
+    if np.any((nodes < 0) | (nodes >= n)):
+        raise BadSensorIndex(f"sensor index out of range [0, {n})")
+    return lift_state(clustering, np.eye(clustering.n_clusters))[:, nodes].T
 
 
 def initialize_filter(model: ReducedModel, x0_full, noise: NoiseConfig, sensor_nodes) -> ReducedEkfState:
     """Project the full-order prior onto a freshly identified model, the run's model 1."""
-    projection = model.projection
+    clustering = model.clustering
     return ReducedEkfState(
-        xi=reduce_state(projection, x0_full),
-        cov=noise.reduced_initial_cov(projection),
-        q_r=noise.reduced_process_cov(projection),
-        c_r=sensor_output_map(projection, sensor_nodes),
+        xi=reduce_state(clustering, x0_full),
+        cov=noise.reduced_initial_cov(clustering),
+        q_r=noise.reduced_process_cov(clustering),
+        c_r=sensor_output_map(clustering, sensor_nodes),
         model=model,
         model_index=1,
     )
@@ -171,6 +174,8 @@ def ekf_update(state: ReducedEkfState, y, r_cov: np.ndarray) -> ReducedEkfState:
     c = state.c_r
     if y.shape != (c.shape[0],):
         raise DimensionMismatch(f"measurement has shape {y.shape}, expected ({c.shape[0]},)")
+    if np.shape(r_cov) != (y.size, y.size):
+        raise DimensionMismatch(f"R has shape {np.shape(r_cov)}, expected ({y.size}, {y.size})")
     if not np.all(np.isfinite(y)):
         raise NonFiniteState("measurement contains non-finite entries")
     innovation_cov = r_cov + c @ state.cov @ c.T
@@ -187,18 +192,18 @@ def ekf_update(state: ReducedEkfState, y, r_cov: np.ndarray) -> ReducedEkfState:
 
 def reconstruct(state: ReducedEkfState) -> np.ndarray:
     """Full-grid estimate x_hat = U xi_hat."""
-    return lift_state(state.model.projection, state.xi)
+    return lift_state(state.model.clustering, state.xi)
 
 
 def clamp_estimate(state: ReducedEkfState, ceiling) -> ReducedEkfState:
     """Cap the lifted heads at ``ceiling``: xi_j <- min(xi_j, ceiling / w_j).
 
-    Cluster j lifts to w_j * xi_j, w_j = ``state.model.weights[j]`` > 0, so
-    the head ceiling caps each coordinate. Covariances are untouched; the
-    ceiling only engages when a noisy update overshoots the unsaturated
+    Cluster j lifts to w_j * xi_j, w_j = ``state.model.clustering.weights[j]``
+    > 0, so the head ceiling caps each coordinate. Covariances are untouched;
+    the ceiling only engages when a noisy update overshoots the unsaturated
     range that keeps the explicit stepper stable.
     """
-    capped = np.minimum(state.xi, ceiling / state.model.weights)
+    capped = np.minimum(state.xi, ceiling / state.model.clustering.weights)
     if np.array_equal(capped, state.xi):
         return state
     return replace(state, xi=capped)
@@ -212,16 +217,16 @@ def transfer_model(state: ReducedEkfState, model: ReducedModel, noise: NoiseConf
     down with the new one's; process and output maps are rebuilt for the new
     basis, and the model index is one past the old one.
     """
-    projection = model.projection
-    if projection.shape[0] != state.model.projection.shape[0]:
+    old, new = state.model.clustering, model.clustering
+    if new.assignment.size != old.assignment.size:
         raise DimensionMismatch("projections must share the full state dimension")
-    mapping = (projection.T @ state.model.projection).toarray()
+    mapping = reduce_state(new, lift_state(old, np.eye(old.n_clusters))).T
     cov = mapping @ state.cov @ mapping.T
     return ReducedEkfState(
         xi=mapping @ state.xi,
         cov=0.5 * (cov + cov.T),
-        q_r=noise.reduced_process_cov(projection),
-        c_r=sensor_output_map(projection, sensor_nodes),
+        q_r=noise.reduced_process_cov(new),
+        c_r=sensor_output_map(new, sensor_nodes),
         model=model,
         model_index=state.model_index + 1,
     )

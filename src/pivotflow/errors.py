@@ -18,7 +18,7 @@ class BadSensorIndex(PivotflowError, IndexError):
 
 
 class DimensionMismatch(PivotflowError, ValueError):
-    """Operand dimensions are inconsistent with the active projection or grid."""
+    """Operand dimensions are inconsistent with the reduced model, the filter state or the grid."""
 
 
 class JacobianFailure(PivotflowError):

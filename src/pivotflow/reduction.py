@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
 from .richards import MAX_HEAD, FullModel, _stencil, _surface_flux, _uptake_scale, root_weight, stress_factor
@@ -145,7 +144,7 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     pairwise distance from each time row's spread ptp_t, is not finite, even
     where the pairs that would overflow fall in different blocks.
     """
-    # imported here: scipy.cluster/scipy.spatial add ~0.2 s and ~16 MB to `import pivotflow`
+    # imported here: scipy.cluster/scipy.spatial (and the scipy.sparse they load) add about 0.34 s and 36 MB
     from scipy.cluster.hierarchy import fcluster, linkage
     from scipy.spatial.distance import pdist
 
@@ -180,13 +179,6 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     return Clustering(ids[labels], first.size)
 
 
-def build_projection(clustering: Clustering) -> sp.csr_matrix:
-    """Sparse n_nodes x n_clusters projection with weights 1/sqrt(cluster size)."""
-    cols = clustering.assignment
-    return sp.csr_matrix((clustering.weights[cols], (np.arange(cols.size), cols)),
-                         shape=(cols.size, clustering.n_clusters))
-
-
 def _rows_of(x, size: int, what: str) -> np.ndarray:
     """``x`` as floats, checked to be one vector (size,) or a batch (B, size)."""
     x = np.asarray(x, dtype=float)
@@ -195,20 +187,27 @@ def _rows_of(x, size: int, what: str) -> np.ndarray:
     return x
 
 
-def reduce_state(projection: sp.csr_matrix, x) -> np.ndarray:
+def reduce_state(clustering: Clustering, x) -> np.ndarray:
     """xi = U^T x of one state (n,) or of each row of a batch (B, n).
 
-    Each row of a batch equals the single-state result bit for bit.
+    Each cluster's weighted nodes are summed in ascending node order, so each
+    row of a batch equals the single-state result bit for bit.
     """
-    return (projection.T @ _rows_of(x, projection.shape[0], "state").T).T
+    cluster, r = clustering.assignment, clustering.n_clusters
+    x = _rows_of(x, cluster.size, "state")
+    rows = x.reshape(-1, cluster.size)
+    index = np.arange(rows.shape[0])[:, None] * r + cluster
+    weighted = rows * clustering.weights[cluster]
+    xi = np.bincount(index.ravel(), weights=weighted.ravel(), minlength=rows.shape[0] * r)
+    return xi.reshape(x.shape[:-1] + (r,))
 
 
-def lift_state(projection: sp.csr_matrix, xi) -> np.ndarray:
+def lift_state(clustering: Clustering, xi) -> np.ndarray:
     """x_tilde = U xi of one reduced state (r,) or of each row of a batch (B, r).
 
     Each row of a batch equals the single-state result bit for bit.
     """
-    return (projection @ _rows_of(xi, projection.shape[1], "reduced state").T).T
+    return (_rows_of(xi, clustering.n_clusters, "reduced state") * clustering.weights)[..., clustering.assignment]
 
 
 class _CoarseGraph(NamedTuple):
@@ -296,20 +295,19 @@ def _coarse_graph(full: FullModel, cluster: np.ndarray, col_weight: np.ndarray) 
 class ReducedModel:
     """Galerkin reduction of a full model by a fixed clustering of its nodes.
 
-    The cluster projection U (``projection``, for the filter) and the coarse
-    graph of the clustering are built once, at construction.
+    The clustering is the projection U: ``reduce_state`` and ``lift_state``
+    apply it by index. The coarse graph of the clustering is built once, at
+    construction.
     """
 
     full: FullModel
     clustering: Clustering
-    projection: sp.csr_matrix = field(init=False, repr=False, compare=False)
     _graph: _CoarseGraph | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cluster, n = self.clustering.assignment, self.full.n_states
         if cluster.size != n:
             raise DimensionMismatch(f"clustering covers {cluster.size} nodes, the full model has {n}")
-        object.__setattr__(self, "projection", build_projection(self.clustering))
         identity = np.array_equal(cluster, np.arange(n))
         object.__setattr__(self, "_graph",
                            None if identity else _coarse_graph(self.full, cluster, self.clustering.weights))
@@ -317,11 +315,6 @@ class ReducedModel:
     @property
     def order(self) -> int:
         return self.clustering.n_clusters
-
-    @property
-    def weights(self) -> np.ndarray:
-        """(order,) weight with which each reduced coordinate lifts to its cluster's nodes."""
-        return self.clustering.weights
 
     def step(self, xi, surface, forcing, dt) -> np.ndarray:
         """Advance xi by dt with xi <- xi + dt_sub U^T f(U xi) over the full model's sub-steps.
@@ -441,11 +434,11 @@ def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, o
 
 def _window_gaps(reduced: ReducedModel, starts: np.ndarray, inputs, ticks: np.ndarray, dt: float) -> np.ndarray:
     """The e_L gaps of the windows at ``ticks``: a full ``rollout`` and a reduced one from the projected starts."""
-    projection, n = reduced.projection, reduced.full.n_states
+    clustering, n = reduced.clustering, reduced.full.n_states
     full = rollout(reduced.full, starts, inputs, dt, ticks)
-    red = rollout(reduced, reduce_state(projection, starts), inputs, dt, ticks)
+    red = rollout(reduced, reduce_state(clustering, starts), inputs, dt, ticks)
     # one contiguous (horizon, n) gap array per window keeps the summation order
-    return np.array([np.abs(lift_state(projection, r)[1:] - f[1:]).sum() / n for f, r in zip(full, red)])
+    return np.array([np.abs(lift_state(clustering, r)[1:] - f[1:]).sum() / n for f, r in zip(full, red)])
 
 
 def _cpus() -> int:

@@ -60,6 +60,14 @@ def dense_cov(diag, offdiag, n):
     return (diag - offdiag) * np.eye(n) + offdiag * np.ones((n, n))
 
 
+def dense_projection(clustering):
+    """U as a dense (n, r) array: node i's row holds its cluster's weight in that cluster's column."""
+    cluster = clustering.assignment
+    u = np.zeros((cluster.size, clustering.n_clusters))
+    u[np.arange(cluster.size), cluster] = clustering.weights[cluster]
+    return u
+
+
 def merge_log(data, th_c):
     """The merges below th_c of the average linkage that cluster_trajectories cuts.
 

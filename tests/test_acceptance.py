@@ -25,14 +25,15 @@ from pivotflow import (
     SurfaceInput,
     VanGenuchtenParams,
     WaterBudget,
-    build_projection,
     cluster_trajectories,
     ekf_predict,
     ekf_update,
     initialize_filter,
+    lift_state,
     load_config,
     percent_mae,
     reconstruct,
+    reduce_state,
     run_scheme,
     run_truth,
     water_content,
@@ -40,7 +41,7 @@ from pivotflow import (
 from pivotflow.cli import main as cli_main
 from pivotflow.reduction import ReducedModel
 
-from conftest import dense_cov
+from conftest import dense_cov, dense_projection
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LOAM = VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6)
@@ -124,11 +125,12 @@ def test_criterion_2_projection_algebra():
         raw = rng.integers(0, rng.integers(1, n + 1), size=n)
         ids = {}
         assignment = np.array([ids.setdefault(int(v), len(ids)) for v in raw])
-        u = build_projection(Clustering(assignment, len(ids)))
-        gram = (u.T @ u).toarray()
+        c = Clustering(assignment, len(ids))
+        u = dense_projection(c)
+        gram = u.T @ u
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(len(ids))).max()))
         x = rng.normal(size=n)
-        averaged = u @ (u.T @ x)
+        averaged = lift_state(c, reduce_state(c, x))
         means = np.empty(n)
         for cid in range(len(ids)):  # loop oracle for the cluster means
             members = assignment == cid

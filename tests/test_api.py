@@ -17,7 +17,8 @@ ENTRY_POINTS = (
     "generate_snapshots",
     "rollout",
     "cluster_trajectories",
-    "build_projection",
+    "reduce_state",
+    "lift_state",
     "ReducedModel",
     "ekf_predict",
     "ekf_update",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pivotflow import (
+    BadSensorIndex,
     Clustering,
     CylindricalGrid,
     DimensionMismatch,
@@ -21,12 +22,12 @@ from pivotflow import (
     TriggerState,
     UnstableStep,
     ValidationError,
-    build_projection,
     clamp_estimate,
     compute_error_metric,
     ekf_predict,
     ekf_update,
     initialize_filter,
+    lift_state,
     reconstruct,
     reduce_state,
     rollout,
@@ -36,7 +37,7 @@ from pivotflow import (
 import pivotflow.reduction as reduction
 from pivotflow.ekf import sensor_output_map
 
-from conftest import dense_cov, reap_leftover_child
+from conftest import dense_cov, dense_projection, reap_leftover_child
 
 
 class LinearTestModel:
@@ -211,6 +212,17 @@ class TestUpdate:
         with pytest.raises(DimensionMismatch):
             ekf_update(state, np.zeros(3), np.eye(3))
 
+    @pytest.mark.parametrize("r_cov", [0.08, np.full(2, 0.08), 0.08 * np.eye(3)],
+                             ids=["scalar", "vector", "wrong-square"])
+    def test_measurement_cov_shape_checked(self, loam, r_cov):
+        # a scalar or (n_y,) R was broadcast into every entry of R + C P C^T,
+        # and a wrong square one raised a bare numpy ValueError
+        model = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        state = initialize_filter(model, np.full(6, -10.0), NoiseConfig(), [0, 3])
+        with pytest.raises(DimensionMismatch, match=r"^R has shape .*, expected \(2, 2\)$"):
+            ekf_update(state, np.array([-9.0, -12.0]), r_cov)
+        assert ekf_update(state, np.array([-9.0, -12.0]), 0.08 * np.eye(2)).xi.shape == (3,)
+
 
 class TestReconstructAndTransfer:
     def test_singleton_roundtrip(self, loam):
@@ -242,16 +254,16 @@ class TestReconstructAndTransfer:
         rng = np.random.default_rng(4)
         old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
         new = reduced_on(Clustering(np.zeros(6, dtype=int), 1), loam)
-        u_old, u_new = old.projection, new.projection
+        u_old, u_new = dense_projection(old.clustering), dense_projection(new.clustering)
         noise = NoiseConfig()
         p = rng.normal(size=(3, 3))
         p = p @ p.T
-        state = make_state(rng.normal(size=3), p, np.eye(3), sensor_output_map(u_old, [0]), old)
+        state = make_state(rng.normal(size=3), p, np.eye(3), sensor_output_map(old.clustering, [0]), old)
         out = transfer_model(state, new, noise, [0])
-        m = u_new.toarray().T @ u_old.toarray()
+        m = u_new.T @ u_old
         assert np.abs(out.xi - m @ state.xi).max() < 1e-12
         assert np.abs(out.cov - m @ p @ m.T).max() < 1e-12
-        assert np.abs(out.c_r - u_new.toarray()[[0], :]).max() == 0.0
+        assert np.abs(out.c_r - u_new[[0], :]).max() == 0.0
 
     def test_transfer_never_increases_total_variance(self, loam):
         rng = np.random.default_rng(6)
@@ -261,7 +273,7 @@ class TestReconstructAndTransfer:
             ids = {}
             a_old = np.array([ids.setdefault(int(v), len(ids)) for v in raw])
             old = reduced_on(Clustering(a_old, len(ids)), loam)
-            u_old = old.projection
+            u_old = dense_projection(old.clustering)
             ids = {}
             raw = rng.integers(0, 4, n)
             a_new = np.array([ids.setdefault(int(v), len(ids)) for v in raw])
@@ -269,9 +281,9 @@ class TestReconstructAndTransfer:
             p = rng.normal(size=(u_old.shape[1], u_old.shape[1]))
             p = p @ p.T
             state = make_state(rng.normal(size=u_old.shape[1]), p, np.eye(u_old.shape[1]),
-                               sensor_output_map(u_old, [0]), old)
+                               sensor_output_map(old.clustering, [0]), old)
             out = transfer_model(state, new, NoiseConfig(), [0])
-            lifted_trace = np.trace(u_old.toarray() @ p @ u_old.toarray().T)
+            lifted_trace = np.trace(u_old @ p @ u_old.T)
             assert np.trace(out.cov) <= lifted_trace + 1e-9
 
     def test_switch_continuity_is_cluster_mean_projection(self, loam):
@@ -280,10 +292,10 @@ class TestReconstructAndTransfer:
         rng = np.random.default_rng(13)
         old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
         new = reduced_on(Clustering(np.array([0, 1, 0, 1, 2, 2]), 3), loam)
-        u_new = new.projection
+        u_new = dense_projection(new.clustering)
         p = rng.normal(size=(3, 3))
         state = make_state(rng.normal(size=3), p @ p.T, np.eye(3),
-                           sensor_output_map(old.projection, [0]), old)
+                           sensor_output_map(old.clustering, [0]), old)
         before = reconstruct(state)
         after = reconstruct(transfer_model(state, new, NoiseConfig(), [0]))
         assert np.abs(after - u_new @ (u_new.T @ before)).max() < 1e-12
@@ -291,11 +303,23 @@ class TestReconstructAndTransfer:
     def test_estimate_ceiling_caps_lifted_values(self, loam):
         model = reduced_on(Clustering(np.array([0, 0, 1]), 2), loam)
         state = make_state(np.array([3.0 * np.sqrt(2), -4.0]), np.eye(2), np.eye(2),
-                           sensor_output_map(model.projection, [0]), model)
+                           sensor_output_map(model.clustering, [0]), model)
         capped = clamp_estimate(state, -0.5)
         lifted = reconstruct(capped)
         assert lifted.max() <= -0.5 + 1e-12
         assert lifted[2] == pytest.approx(-4.0)  # already-valid cluster untouched
+
+    @pytest.mark.parametrize("sensor", [-1, 6])
+    def test_sensor_outside_the_grid_rejected(self, loam, sensor):
+        # -1 quietly observed node n - 1, and 6 raised a bare IndexError
+        model = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        state = initialize_filter(model, np.full(6, -10.0), NoiseConfig(), [0])
+        calls = (lambda: sensor_output_map(model.clustering, [0, sensor]),
+                 lambda: initialize_filter(model, np.full(6, -10.0), NoiseConfig(), [sensor]),
+                 lambda: transfer_model(state, model, NoiseConfig(), [sensor]))
+        for call in calls:
+            with pytest.raises(BadSensorIndex, match=r"^sensor index out of range \[0, 6\)$"):
+                call()
 
     def test_transfer_to_another_grid_rejected(self, loam):
         old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
@@ -340,18 +364,18 @@ class TestErrorMetric:
         ids = {}
         assignment = np.array([ids.setdefault(int(v), len(ids)) for v in assignment])
         reduced = ReducedModel(model, Clustering(assignment, len(ids)))
-        u = reduced.projection
+        c = reduced.clustering
         inputs = [(SurfaceInput(np.full(grid.n_r, 2e-7), k % grid.n_theta), StepForcing(rain=1e-8))
                   for k in range(5)]
         e = compute_error_metric(reduced, x0, inputs, 900.0, offsets=[0])[0]
         # brute force: simulate both trajectories step by step and accumulate
         x = x0.copy()
-        xi = reduce_state(u, x0)
+        xi = reduce_state(c, x0)
         acc = 0.0
         for surface, forcing in inputs:
             x = model.step(x, surface, forcing, 900.0)
             xi = reduced.step(xi, surface, forcing, 900.0)
-            lifted = u @ xi
+            lifted = lift_state(c, xi)
             for i in range(grid.n_nodes):
                 acc += abs(lifted[i] - x[i])
         assert e == pytest.approx(acc / grid.n_nodes, rel=1e-12)
@@ -365,13 +389,13 @@ class TestErrorMetric:
         model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
         rng = np.random.default_rng(3)
         reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 9, 9))
-        u = reduced.projection
+        c = reduced.clustering
         x0 = rng.uniform(-12.0, -3.0, grid.n_nodes)
         inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (j % 2)), j), StepForcing(et=2e-8, k_c=0.5))
                   for j in range(3)]
         full = rollout(model, x0, inputs, 900.0)[0]
-        red = rollout(reduced, reduce_state(u, x0), inputs, 900.0)[0]
-        want = float(np.abs((u @ red.T).T[1:] - full[1:]).sum() / grid.n_nodes)
+        red = rollout(reduced, reduce_state(c, x0), inputs, 900.0)[0]
+        want = float(np.abs(lift_state(c, red)[1:] - full[1:]).sum() / grid.n_nodes)
         assert compute_error_metric(reduced, x0, inputs, 900.0, offsets=[0])[0] == want
 
     def test_batched_windows_equal_single_windows(self, loam, monkeypatch):
@@ -593,12 +617,12 @@ class TestNoiseConfig:
         raw = rng.integers(0, 4, 10)
         ids = {}
         assignment = np.array([ids.setdefault(int(v), len(ids)) for v in raw])
-        u = build_projection(Clustering(assignment, len(ids)))
+        c = Clustering(assignment, len(ids))
         noise = NoiseConfig(q_diag=2.0, q_offdiag=0.5, p0_diag=1.0, p0_offdiag=5e-5)
-        ud = u.toarray()
+        ud = dense_projection(c)
         q, p0 = dense_cov(2.0, 0.5, 10), dense_cov(1.0, 5e-5, 10)
-        assert np.abs(noise.reduced_process_cov(u) - ud.T @ q @ ud).max() < 1e-12
-        assert np.abs(noise.reduced_initial_cov(u) - ud.T @ p0 @ ud).max() < 1e-12
+        assert np.abs(noise.reduced_process_cov(c) - ud.T @ q @ ud).max() < 1e-12
+        assert np.abs(noise.reduced_initial_cov(c) - ud.T @ p0 @ ud).max() < 1e-12
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValidationError):

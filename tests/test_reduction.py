@@ -16,7 +16,9 @@ from pivotflow import (
     CylindricalGrid,
     DimensionMismatch,
     FullModel,
+    NoiseConfig,
     NonFiniteState,
+    ReducedEkfState,
     ReducedModel,
     RootUptake,
     SnapshotMatrix,
@@ -25,14 +27,15 @@ from pivotflow import (
     UnstableStep,
     ValidationError,
     VanGenuchtenParams,
-    build_projection,
     cluster_trajectories,
     generate_snapshots,
     lift_state,
     reduce_state,
     rollout,
+    transfer_model,
 )
-from conftest import hydrostatic_state, merge_log, row_inputs
+from pivotflow.ekf import sensor_output_map
+from conftest import dense_projection, hydrostatic_state, merge_log, row_inputs
 
 
 def reference_average_linkage(data, th_c):
@@ -324,13 +327,15 @@ def test_block_split_matches_one_block_linkage(case):
 
 def test_import_leaves_scipy_cluster_unloaded():
     # scipy.cluster and scipy.spatial are imported by the first clustering
-    # call, not by `import pivotflow`, which they would slow by about 0.2 s
+    # call, not by `import pivotflow`, which they would slow by about 0.34 s;
+    # scipy.sparse, which they load, is needed by nothing else, as U is
+    # applied by index
     import pivotflow
 
     src = str(Path(pivotflow.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import pivotflow, sys; "
-            "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -360,80 +365,130 @@ class TestProjection:
     def test_weights_are_the_projection_columns(self):
         c = Clustering(np.array([0, 1, 0, 2, 0, 1, 0]), 3)
         assert c.weights.tolist() == [0.5, 1.0 / np.sqrt(2.0), 1.0]
-        u = build_projection(c)
-        assert np.array_equal(np.asarray(u.max(axis=0).todense()).ravel(), c.weights)
+        u = dense_projection(c)
+        assert np.array_equal(u.max(axis=0), c.weights)
+        assert np.array_equal(lift_state(c, np.eye(3)), u.T)  # U I_r gives U's columns
 
     def test_singletons_give_identity(self):
-        u = build_projection(Clustering.singletons(5))
-        assert np.array_equal(u.toarray(), np.eye(5))
+        c = Clustering.singletons(5)
+        assert np.array_equal(dense_projection(c), np.eye(5))
+        x = np.random.default_rng(2).normal(size=(2, 5))
+        assert np.array_equal(reduce_state(c, x), x) and np.array_equal(lift_state(c, x), x)
 
     def test_cluster_of_four_has_half_weights(self):
         c = Clustering(np.zeros(4, dtype=int), 1)
-        u = build_projection(c)
-        assert np.allclose(u.toarray(), 0.5)
+        assert np.allclose(dense_projection(c), 0.5)
+        assert np.allclose(lift_state(c, [1.0]), 0.5)
 
     def test_orthonormal_columns_random_partition(self):
         rng = np.random.default_rng(6)
         raw = rng.integers(0, 7, size=50)
         ids = {}
         assignment = np.array([ids.setdefault(int(a), len(ids)) for a in raw])
-        u = build_projection(Clustering(assignment, len(ids)))
-        gram = (u.T @ u).toarray()
-        assert np.abs(gram - np.eye(len(ids))).max() < 1e-12
+        c = Clustering(assignment, len(ids))
+        u = dense_projection(c)
+        for gram in (u.T @ u, reduce_state(c, lift_state(c, np.eye(len(ids))))):
+            assert np.abs(gram - np.eye(len(ids))).max() < 1e-12
 
     def test_lift_reduce_is_cluster_mean(self):
         c = Clustering(np.array([0, 0, 1]), 2)
-        u = build_projection(c)
         x = np.array([2.0, 4.0, 7.0])
-        lifted = lift_state(u, reduce_state(u, x))
+        lifted = lift_state(c, reduce_state(c, x))
         assert lifted == pytest.approx([3.0, 3.0, 7.0])
         # each row of a batch equals its single-state call bit for bit
         rng = np.random.default_rng(4)
         raw = rng.integers(0, 6, size=40)
         ids = {}
-        u = build_projection(Clustering(np.array([ids.setdefault(int(a), len(ids)) for a in raw]), len(ids)))
+        c = Clustering(np.array([ids.setdefault(int(a), len(ids)) for a in raw]), len(ids))
         xs = rng.normal(-6.0, 2.0, (5, 40))
-        xis = reduce_state(u, xs)
+        xis = reduce_state(c, xs)
         assert xis.shape == (5, len(ids))
-        assert all(np.array_equal(xi, reduce_state(u, x)) for xi, x in zip(xis, xs))
-        lifted = lift_state(u, xis)
+        assert all(np.array_equal(xi, reduce_state(c, x)) for xi, x in zip(xis, xs))
+        lifted = lift_state(c, xis)
         assert lifted.shape == xs.shape
-        assert all(np.array_equal(row, lift_state(u, xi)) for row, xi in zip(lifted, xis))
+        assert all(np.array_equal(row, lift_state(c, xi)) for row, xi in zip(lifted, xis))
 
     def test_projector_idempotent(self):
         rng = np.random.default_rng(7)
         raw = rng.integers(0, 5, size=30)
         ids = {}
         assignment = np.array([ids.setdefault(int(a), len(ids)) for a in raw])
-        u = build_projection(Clustering(assignment, len(ids)))
+        c = Clustering(assignment, len(ids))
         x = rng.normal(size=30)
-        once = lift_state(u, reduce_state(u, x))
-        twice = lift_state(u, reduce_state(u, once))
+        once = lift_state(c, reduce_state(c, x))
+        twice = lift_state(c, reduce_state(c, once))
         assert np.abs(once - twice).max() < 1e-12
-        p = (u @ u.T).toarray()
+        u = dense_projection(c)
+        p = u @ u.T
         assert np.abs(p - p.T).max() == 0.0
         assert np.trace(p) == pytest.approx(len(ids), abs=1e-9)
 
     def test_dimension_checks(self):
-        u = build_projection(Clustering.singletons(4))
+        c = Clustering.singletons(4)
         with pytest.raises(DimensionMismatch):
-            reduce_state(u, np.zeros(5))
+            reduce_state(c, np.zeros(5))
         with pytest.raises(DimensionMismatch):
-            lift_state(u, np.zeros(5))
+            lift_state(c, np.zeros(5))
         # (B, n) and (B, r) batches pass; a third axis does not
-        assert reduce_state(u, np.zeros((3, 4))).shape == (3, 4)
-        assert lift_state(u, np.zeros((3, 4))).shape == (3, 4)
+        assert reduce_state(c, np.zeros((3, 4))).shape == (3, 4)
+        assert lift_state(c, np.zeros((3, 4))).shape == (3, 4)
         with pytest.raises(DimensionMismatch):
-            reduce_state(u, np.zeros((2, 1, 4)))
+            reduce_state(c, np.zeros((2, 1, 4)))
         with pytest.raises(DimensionMismatch):
-            lift_state(u, np.zeros((2, 1, 4)))
+            lift_state(c, np.zeros((2, 1, 4)))
+
+    def test_products_equal_scipy_sparse_products_bit_for_bit(self, loam):
+        # Reduce and lift index by the assignment; the filter's U products are
+        # written with them. Each must give the bits of the same product with a
+        # scipy CSR U, the representation they replace.
+        import scipy.sparse as sp
+
+        def csr(c):
+            return sp.csr_matrix((c.weights[c.assignment], (np.arange(c.assignment.size), c.assignment)),
+                                 shape=(c.assignment.size, c.n_clusters))
+
+        def model_on(c):
+            n = c.assignment.size
+            return ReducedModel(FullModel(CylindricalGrid(n, 1, 1, radius=2.0, depth=0.1), loam), c)
+
+        rng = np.random.default_rng(23)
+        partitions = [Clustering.singletons(1), Clustering.singletons(17), Clustering(np.zeros(17, dtype=int), 1)]
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            partitions.append(random_partition(n, int(rng.integers(1, n + 1)), rng))
+        noises = [NoiseConfig(q_diag=2.0, q_offdiag=0.5, p0_diag=1.0, p0_offdiag=5e-5), NoiseConfig()]
+        for c in partitions:
+            n, r = c.assignment.size, c.n_clusters
+            new = random_partition(n, int(rng.integers(1, n + 1)), rng)
+            u, u_new = csr(c), csr(new)
+            for rows in ((), (1,), (4,)):
+                x, xi = rng.normal(-8.0, 3.0, rows + (n,)), rng.normal(-8.0, 3.0, rows + (r,))
+                assert reduce_state(c, x).tobytes() == (u.T @ x.T).T.tobytes()
+                assert lift_state(c, xi).tobytes() == (u @ xi.T).T.tobytes()
+            for noise in noises:
+                for diag, off, got in ((noise.q_diag, noise.q_offdiag, noise.reduced_process_cov(c)),
+                                       (noise.p0_diag, noise.p0_offdiag, noise.reduced_initial_cov(c))):
+                    want = (diag - off) * (u.T @ u).toarray()
+                    if off:
+                        col_sums = np.asarray(u.sum(axis=0)).ravel()
+                        want = want + off * np.outer(col_sums, col_sums)
+                    assert got.tobytes() == want.tobytes()
+            sensors = rng.integers(0, n, 3)
+            assert sensor_output_map(c, sensors).tobytes() == u[sensors, :].toarray().tobytes()
+            p = rng.normal(size=(r, r))
+            state = ReducedEkfState(rng.normal(-8.0, 3.0, r), p @ p.T, np.eye(r), np.zeros((1, r)), model_on(c), 1)
+            out = transfer_model(state, model_on(new), noises[0], sensors)
+            mapping = (u_new.T @ u).toarray()
+            cov = mapping @ state.cov @ mapping.T
+            assert out.xi.tobytes() == (mapping @ state.xi).tobytes()
+            assert out.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
 
 
 class TestReducedModel:
     def test_singleton_reduction_is_exact(self, small_grid, loam):
         model = FullModel(small_grid, loam, substeps=4)
         reduced = ReducedModel(model, Clustering.singletons(small_grid.n_nodes))
-        u = reduced.projection
+        c = reduced.clustering
         rng = np.random.default_rng(11)
         x0 = np.full(small_grid.n_nodes, -7.0) + rng.normal(0, 0.3, small_grid.n_nodes)
         inputs = [
@@ -442,8 +497,8 @@ class TestReducedModel:
             for k in range(6)
         ]
         full = rollout(model, x0, inputs, 900.0)[0]
-        red = rollout(reduced, reduce_state(u, x0), inputs, 900.0)[0]
-        assert np.array_equal(full, (u @ red.T).T)  # bitwise under identity permutation
+        red = rollout(reduced, reduce_state(c, x0), inputs, 900.0)[0]
+        assert np.array_equal(full, lift_state(c, red))  # bitwise under identity permutation
 
     def test_equilibrium_preserved(self, small_grid, loam):
         model = FullModel(small_grid, loam, substeps=4, bottom_bc="no_flux")
@@ -454,7 +509,7 @@ class TestReducedModel:
         depth_of = np.unravel_index(np.arange(small_grid.n_nodes),
                                     (small_grid.n_r, small_grid.n_theta, small_grid.n_z))[2]
         reduced = ReducedModel(model, Clustering(depth_of, small_grid.n_z))
-        xi = reduce_state(reduced.projection, x0)
+        xi = reduce_state(reduced.clustering, x0)
         out = reduced.step(xi, SurfaceInput.idle(small_grid.n_r), StepForcing(), 1800.0)
         assert np.abs(out - xi).max() < 1e-10
 
@@ -465,13 +520,13 @@ class TestReducedModel:
         model = FullModel(grid, loam, substeps=8)
         n = grid.n_nodes
         reduced = ReducedModel(model, Clustering(np.zeros(n, dtype=int), 1))
-        u = reduced.projection
+        c = reduced.clustering
         x0 = np.full(n, -5.0)
         inputs = [(SurfaceInput.idle(grid.n_r), StepForcing(rain=1e-7))] * 4
         full = rollout(model, x0, inputs, 1800.0)[0]
         assert np.ptp(full[-1]) == 0.0  # stays uniform
-        red = rollout(reduced, reduce_state(u, x0), inputs, 1800.0)[0]
-        lifted = (u @ red.T).T
+        red = rollout(reduced, reduce_state(c, x0), inputs, 1800.0)[0]
+        lifted = lift_state(c, red)
         assert np.abs(lifted[-1] - full[-1]).max() < 1e-6 * abs(full[-1]).max()
 
 
@@ -483,11 +538,11 @@ DESK_ZONES = [
 ]
 
 
-def galerkin_reference(model, u, xi, surface, forcing, dt):
+def galerkin_reference(model, clustering, xi, surface, forcing, dt):
     """xi <- xi + dt_sub U^T f(U xi) over the model's sub-steps, with f the full model's rhs."""
     sub = dt / model.substeps
     for _ in range(model.substeps):
-        xi = xi + sub * reduce_state(u, model.rhs(lift_state(u, xi), surface, forcing))
+        xi = xi + sub * reduce_state(clustering, model.rhs(lift_state(clustering, xi), surface, forcing))
     return xi
 
 
@@ -531,10 +586,10 @@ class TestCoarseStep:
         model = self.model(name, bottom_bc, with_roots)
         rng = np.random.default_rng(len(name))
         reduced = ReducedModel(model, random_partition(model.n_states, 9, rng))
-        u = reduced.projection
-        xi = reduce_state(u, rng.uniform(-14.0, -3.0, (3, model.n_states)))
+        c = reduced.clustering
+        xi = reduce_state(c, rng.uniform(-14.0, -3.0, (3, model.n_states)))
         for surface, forcing in field_inputs(model.grid, 3):
-            want = galerkin_reference(model, u, xi, surface, forcing, 1800.0)
+            want = galerkin_reference(model, c, xi, surface, forcing, 1800.0)
             got = reduced.step(xi, surface, forcing, 1800.0)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(want - xi).max() > 1e-6 * np.abs(want).max()  # the states do move
@@ -549,8 +604,8 @@ class TestCoarseStep:
         model = self.model("desk", with_roots=with_roots)
         rng = np.random.default_rng(11)
         reduced = ReducedModel(model, random_partition(model.n_states, 9, rng))
-        u = reduced.projection
-        xi = reduce_state(u, rng.uniform(-14.0, -3.0, (4, model.n_states)))
+        c = reduced.clustering
+        xi = reduce_state(c, rng.uniform(-14.0, -3.0, (4, model.n_states)))
         surfaces, forcings = row_inputs(model.grid)
         got = reduced.step(xi, surfaces, forcings, 1800.0)
         for row, x, surface, forcing in zip(got, xi, surfaces, forcings):
@@ -575,10 +630,10 @@ class TestCoarseStep:
         n = model.n_states
         rng = np.random.default_rng(8)
         reduced = ReducedModel(model, Clustering(rng.permutation(n), n))
-        u = reduced.projection
-        xi = reduce_state(u, rng.uniform(-14.0, -3.0, n))
+        c = reduced.clustering
+        xi = reduce_state(c, rng.uniform(-14.0, -3.0, n))
         surface, forcing = field_inputs(model.grid, 1)[0]
-        want = galerkin_reference(model, u, xi, surface, forcing, 1800.0)
+        want = galerkin_reference(model, c, xi, surface, forcing, 1800.0)
         monkeypatch.setattr(FullModel, "step", lambda *a, **k: pytest.fail("full-model step on the coarse path"))
         got = reduced.step(xi, surface, forcing, 1800.0)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -611,7 +666,7 @@ class TestCoarseStep:
         with pytest.raises(UnstableStep):
             model.step(x, *inputs)
         with pytest.raises(UnstableStep):
-            reduced.step(reduce_state(reduced.projection, x), *inputs)
+            reduced.step(reduce_state(reduced.clustering, x), *inputs)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
     @pytest.mark.parametrize("path", ["coarse", "identity"])
@@ -630,7 +685,7 @@ class TestCoarseStep:
         # leave numpy's error settings as it found them, also when it raises
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         inputs = (SurfaceInput.idle(grid.n_r), StepForcing(), 1800.0)
-        xi_of = lambda reduced, x: reduce_state(reduced.projection, x)
+        xi_of = lambda reduced, x: reduce_state(reduced.clustering, x)
         before = np.geterr()
         stable = ReducedModel(FullModel(grid, loam, substeps=24), Clustering(np.arange(grid.n_nodes) % 7, 7))
         stable.step(xi_of(stable, np.full(grid.n_nodes, -8.0)), *inputs)

@@ -18,7 +18,6 @@ from time import perf_counter
 import numpy as np
 
 from .errors import (
-    BadSensorIndex,
     DegenerateReference,
     DimensionMismatch,
     JacobianFailure,
@@ -37,6 +36,7 @@ from .reduction import (
     lift_state,
     reduce_state,
 )
+from .richards import _sensor_nodes
 
 SCHEMES = ("performance", "static", "time-triggered")
 
@@ -117,10 +117,13 @@ class ReducedEkfState:
 
 
 def sensor_output_map(clustering: Clustering, sensor_nodes) -> np.ndarray:
-    """C_r = C U: the sensor rows of U, as the sensor columns of U I_r."""
-    nodes, n = np.asarray(sensor_nodes, dtype=int), clustering.assignment.size
-    if np.any((nodes < 0) | (nodes >= n)):
-        raise BadSensorIndex(f"sensor index out of range [0, {n})")
+    """C_r = C U: the sensor rows of U, as the sensor columns of U I_r.
+
+    ``sensor_nodes`` are checked as ``observe`` checks them: an empty list, a
+    fractional or non-finite index, or one off the grid raises
+    ``BadSensorIndex``.
+    """
+    nodes = _sensor_nodes(sensor_nodes, clustering.assignment.size)
     return lift_state(clustering, np.eye(clustering.n_clusters))[:, nodes].T
 
 
@@ -169,13 +172,22 @@ def ekf_predict(state: ReducedEkfState, surface, forcing, dt: float) -> ReducedE
 
 
 def ekf_update(state: ReducedEkfState, y, r_cov: np.ndarray) -> ReducedEkfState:
-    """Measurement update with gain K = P C^T (R + C P C^T)^-1."""
+    """Measurement update with gain K = P C^T (R + C P C^T)^-1.
+
+    R must be a finite, exactly symmetric (n_y, n_y) array: the positive
+    definiteness test reads only its lower triangle, the gain all of it.
+    """
     y = np.asarray(y, dtype=float)
     c = state.c_r
     if y.shape != (c.shape[0],):
         raise DimensionMismatch(f"measurement has shape {y.shape}, expected ({c.shape[0]},)")
     if np.shape(r_cov) != (y.size, y.size):
         raise DimensionMismatch(f"R has shape {np.shape(r_cov)}, expected ({y.size}, {y.size})")
+    r_cov = np.asarray(r_cov, dtype=float)
+    if not np.all(np.isfinite(r_cov)):
+        raise NonFiniteState("R contains non-finite entries")
+    if not np.array_equal(r_cov, r_cov.T):
+        raise ValidationError("R must be symmetric")
     if not np.all(np.isfinite(y)):
         raise NonFiniteState("measurement contains non-finite entries")
     innovation_cov = r_cov + c @ state.cov @ c.T

@@ -1,9 +1,10 @@
 """Trajectory-clustered model reduction.
 
 Snapshots of the full model are clustered per node trajectory with
-agglomerative average linkage (scipy's NN-chain algorithm on each block of an
-exact split of the nodes' projections on the ones vector, cut strictly below
-th_c, ids in first-member order), and the resulting clustering defines the
+agglomerative average linkage (an exact split of the nodes along their
+projections on the ones vector and their time rows, then scipy's NN-chain
+algorithm on each block wider than th_c, cut strictly below th_c, ids in
+first-member order), and the resulting clustering defines the
 reduction: a cluster's nodes share one reduced coordinate, lifted with the
 weight 1/sqrt(cluster size), so the orthonormal projection U has one nonzero
 per row. The reduced dynamics are Galerkin per sub-step: xi <- xi + dt_sub
@@ -126,17 +127,35 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     distance while that minimum is below th_c. Cluster ids follow each
     cluster's first member node.
 
-    Exact block split: on the unit vector v = 1/sqrt(T), |<a - b, v>| <=
-    ||a - b||, so cutting the sorted projections wherever neighbours are
-    th_c apart keeps every pair closer than th_c in one block. A merge below
-    th_c needs such a pair, so no cluster crosses a block. Each block, node
-    ids ascending, runs scipy's NN-chain linkage on its condensed Euclidean
-    distances. A cut needs a margin of 1e-9 (th_c + sqrt(T) max|x|) over
-    th_c for the projections' rounding (x is the data less its row minima).
+    Exact refinement before any distance: average linkage is reducible, so a
+    merge below th_c needs a pair closer than th_c, and if every pair across
+    two parts of the nodes is th_c or more apart, each part clusters alone.
+    Sorted values cut wherever neighbours lie th_c apart give such parts when
+    the values bound the distance from below: the projection on the unit
+    vector v = 1/sqrt(T), as |<a - b, v>| <= ||a - b||, and each time row, as
+    |a_t - b_t| <= ||a - b||. The nodes are first cut on their projections;
+    then each block
+    1. is one cluster if its bounding-box diagonal sqrt(sum_t (max_t -
+       min_t)^2), which bounds every distance inside it, is below th_c: every
+       merge inside it is then below th_c too;
+    2. else is cut along the first of its time rows and its projection, in
+       order of decreasing spread, that cuts it, and each part goes through
+       these steps again;
+    3. else runs scipy's NN-chain linkage on its condensed Euclidean
+       distances, node ids ascending; only such a block imports scipy.cluster
+       and scipy.spatial.
 
-    Exact distance ties resolve in NN-chain order within each block: every
-    cluster holds a slot, first its node index, and a merged pair keeps the
-    larger slot. The chain starts at the lowest live slot, steps to the
+    Each cut and the one-cluster test need a margin of 1e-9 (th_c + sqrt(T)
+    max|x|) over th_c (x is the data less its row minima). The rounding of x,
+    of the projections, the diagonal and the distances, and of the linkage's
+    averages over a block of m nodes is at most a few (T + m) eps times th_c
+    + sqrt(T) max|x|, far below the margin while T + m is far below 10^6, so
+    no cut separates a pair that merges and no block taken as one cluster
+    holds a merge at th_c or above.
+
+    Exact distance ties resolve in NN-chain order within each linkage block:
+    every cluster holds a slot, first its node index, and a merged pair keeps
+    the larger slot. The chain starts at the lowest live slot, steps to the
     lowest-slot nearest neighbour (staying with the previous chain element
     on a tie) and merges the first mutual nearest pair it reaches.
 
@@ -144,10 +163,6 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     pairwise distance from each time row's spread ptp_t, is not finite, even
     where the pairs that would overflow fall in different blocks.
     """
-    # imported here: scipy.cluster/scipy.spatial (and the scipy.sparse they load) add about 0.34 s and 36 MB
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import pdist
-
     if not th_c > 0:
         raise ValidationError("th_c must be > 0")
     n = snapshots.n_nodes
@@ -158,21 +173,40 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
         if not np.isfinite(np.sqrt(np.sum(x.max(axis=1) ** 2))):
             raise NonFiniteState("trajectory distances overflow to infinity")
     root_t = np.sqrt(x.shape[0])
+    margin = 1e-9 * (th_c + root_t * x.max())
     proj = x.sum(axis=0) / root_t
     order = np.argsort(proj, kind="stable")
-    cuts = np.flatnonzero(np.diff(proj[order]) >= th_c + 1e-9 * (th_c + root_t * x.max())) + 1
+    pending = np.split(order, np.flatnonzero(np.diff(proj[order]) >= th_c + margin) + 1)
     labels = np.empty(n, dtype=int)
     offset = 0
-    for block in np.split(order, cuts):
-        block.sort()
-        if block.size == 1:
+    while pending:
+        block = pending.pop()
+        rows = x[:, block]
+        spread = np.append(np.ptp(rows, axis=1), np.ptp(proj[block]))
+        if block.size == 1 or np.sqrt(np.sum(spread[:-1] ** 2)) + margin < th_c:
             labels[block] = offset + 1
+            offset += 1
+            continue
+        wide = np.flatnonzero(spread >= th_c + margin)
+        for t in wide[np.argsort(-spread[wide], kind="stable")]:
+            values = rows[t] if t < rows.shape[0] else proj[block]
+            ranked = np.argsort(values, kind="stable")
+            cuts = np.flatnonzero(np.diff(values[ranked]) >= th_c + margin) + 1
+            if cuts.size:
+                pending += np.split(block[ranked], cuts)
+                break
         else:
+            # imported here, by the first block that needs linkage: scipy.cluster/scipy.spatial (and the
+            # scipy.sparse they load) add about 0.34 s and 36 MB
+            from scipy.cluster.hierarchy import fcluster, linkage
+            from scipy.spatial.distance import pdist
+
+            block.sort()
             # indexing copies the block's rows C-contiguous; pdist on a strided view is ~2x slower
             tree = linkage(pdist(snapshots.data.T[block]), method="average")
             labels[block] = offset + fcluster(tree, np.nextafter(th_c, -np.inf), criterion="distance")
-        offset = labels[block].max()
-    # renumber fcluster's labels in the order of each cluster's first member node
+            offset = labels[block].max()
+    # renumber the blocks' labels in the order of each cluster's first member node
     _, first = np.unique(labels, return_index=True)
     ids = np.empty(labels.max() + 1, dtype=int)
     ids[labels[np.sort(first)]] = np.arange(first.size)

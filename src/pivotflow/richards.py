@@ -226,14 +226,27 @@ def _surface_flux(surface, forcing, grid: CylindricalGrid, rows: int) -> np.ndar
     return q_in
 
 
+def _sensor_nodes(sensor_nodes, n_nodes: int) -> np.ndarray:
+    """``sensor_nodes`` as integer indices of n_nodes nodes.
+
+    Integral floats are accepted, as in a cluster assignment. An empty list,
+    a fractional or non-finite index, or one outside [0, n_nodes) raises
+    ``BadSensorIndex``.
+    """
+    s = np.asarray(sensor_nodes)
+    if s.size == 0:
+        raise BadSensorIndex("sensor list is empty")
+    if s.dtype.kind == "f" and not np.all(np.isfinite(s) & (s == np.floor(s))):
+        raise BadSensorIndex("sensor indices must be integers")
+    if s.min() < 0 or s.max() >= n_nodes:
+        raise BadSensorIndex(f"sensor index out of range [0, {n_nodes})")
+    return s.astype(int)
+
+
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
     """Measurement y = C x + v where C selects the sensor rows; v, if given, has one entry per sensor."""
     x = np.asarray(x, dtype=float)
-    s = np.asarray(sensor_nodes, dtype=int)
-    if s.size == 0:
-        raise BadSensorIndex("sensor list is empty")
-    if s.min() < 0 or s.max() >= x.size:
-        raise BadSensorIndex(f"sensor index out of range [0, {x.size})")
+    s = _sensor_nodes(sensor_nodes, x.size)
     y = x[s].copy()
     if v is not None:
         v = np.asarray(v, dtype=float)
@@ -244,17 +257,59 @@ def observe(x, sensor_nodes, v=None) -> np.ndarray:
 
 
 class _Workspace:
-    """Sub-step temporaries of one batch shape, allocated once per step call."""
+    """Sub-step temporaries of one step call, and every view of them and of the state that ``_rates`` reads.
 
-    def __init__(self, shape, grid: CylindricalGrid):
-        self.logs = tuple(np.empty(shape) for _ in range(3))
-        self.k = np.empty(shape)
-        self.c = np.empty(shape)
-        self.rate = np.empty(shape)
-        self.sink = np.empty(shape)
-        self.face = np.empty(shape)
-        # azimuthal faces, entry m + n_z after node m; the first n_z stay 0.0
-        self.flux_t = np.zeros(shape[0] * shape[1] + grid.n_z)
+    ``h`` is the call's (B, n_nodes) state. The sub-steps update it in place,
+    so its views follow every update. Each pass's views are built here once
+    per call, not once per sub-step; a flat neighbour lies ``s`` entries on,
+    with s = 1 (vertical), n_z (azimuthal) and n_theta n_z (radial), so a
+    pass pairs a[s:] with a[:-s].
+    """
+
+    def __init__(self, h, model: FullModel):
+        grid = model.grid
+        rows, (n_r, n_t, n_z) = h.shape[0], (grid.n_r, grid.n_theta, grid.n_z)
+        width = n_t * n_z
+        self.logs = tuple(np.empty(h.shape) for _ in range(3))
+        self.k, self.c, self.rate, self.sink, self.face = (np.empty(h.shape) for _ in range(5))
+        self.stencil = _stencil(grid)
+        self.dz = grid.dz
+        # the logs are spent once K and C are evaluated: their arrays serve as scratch
+        df2, flux2 = self.logs[0], self.logs[1]
+        df, flux = df2.reshape(-1), flux2.reshape(-1)
+        hf, kf, top, ratef = h.reshape(-1), self.k.reshape(-1), self.face.reshape(-1), self.rate.reshape(-1)
+        self.df2, self.flux2, self.df, self.rate_flat = df2, flux2, df, ratef
+
+        # vertical: ``top`` holds the flux through each cell's upper face over dz
+        self.vertical = None
+        if n_z > 1:
+            self.vertical = (hf[1:], hf[:-1], df[:-1], kf[1:], kf[:-1], top[:-1], 0.5 / grid.dz**2, 0.5 / grid.dz)
+        top3 = self.face.reshape(rows, n_r, n_t, n_z)
+        self.surface_face, self.face_ahead, self.face_behind = top3[..., -1], top[1:], top[:-1]
+        self.rate_ahead = ratef[1:]
+        k3, rate3 = self.k.reshape(top3.shape), self.rate.reshape(top3.shape)
+        # unit-gradient drainage K(h_bottom), or no flux; ``drain`` receives it over dz
+        self.bottom = k3[..., 0] if model.bottom_bc == "free_drainage" else np.zeros(top3.shape[:-1])
+        self.drain = np.empty(top3.shape[:-1])
+        self.bottom_face, self.bottom_rate = top3[..., 0], rate3[..., 0]
+
+        self.radial = None
+        if n_r > 1:
+            self.radial = (kf[width:], kf[:-width], flux[:-width], hf[width:], hf[:-width], df[:-width],
+                           flux2[:, -width:], ratef[:-width], ratef[width:])
+
+        self.azimuthal = None
+        if n_t > 1:
+            # azimuthal faces, entry m + n_z after node m; the first n_z stay 0.0
+            flux_t = np.zeros(h.size + n_z)
+            rings = (rows * n_r, width)
+            k2, h2, faces = kf.reshape(rings), hf.reshape(rings), flux_t[n_z:].reshape(rings)
+            self.azimuthal = (
+                kf[:-n_z], kf[n_z:], flux_t[n_z:-n_z], hf[n_z:], hf[:-n_z], df[:-n_z],
+                k2[:, -n_z:], k2[:, :n_z], faces[:, -n_z:], h2[:, :n_z], h2[:, -n_z:],
+                self.logs[2].reshape(rings)[:, :n_z], flux_t[n_z:], flux_t[:-n_z], faces[:, :n_z],
+                df.reshape(rings)[:, :n_z],
+            )
 
 
 @dataclass(frozen=True)
@@ -294,19 +349,14 @@ class FullModel:
 
         ``inflow`` is the surface flux over dz, (B, n_r, n_theta), and
         ``scale`` the ``sink_scale`` of the interval; both are built once per
-        call. Returns (dh/dt, bottom drainage flux (B, n_r, n_theta), sink S).
+        call, as is ``work``, a ``_Workspace`` of ``h``. Returns (dh/dt,
+        bottom drainage flux (B, n_r, n_theta), sink S).
         """
-        grid = self.grid
-        n_r, n_t, n_z = grid.n_r, grid.n_theta, grid.n_z
-        rows = h.shape[0]
         logs = suction_logs(h, self.soil, out=work.logs)
         k = hydraulic_conductivity(h, self.soil, logs=logs, out=work.k)
         c_eff = capillary_capacity(h, self.soil, logs=logs, out=work.c)
         np.maximum(c_eff, self.storativity, out=c_eff)
         rate = work.rate
-        # the logs are spent: their arrays serve as scratch below
-        df2, flux2 = work.logs[0], work.logs[1]
-        df, flux = df2.reshape(-1), flux2.reshape(-1)
 
         # vertical: d/dz [K (dh/dz + 1)]. ``top`` holds the downward-positive
         # flux through each cell's upper face over dz, (K_a + K_b) (dh /
@@ -314,61 +364,58 @@ class FullModel:
         # flat order the lower face of a cell is the upper face of the entry
         # before it, except in the bottom layer, where the flat neighbour
         # belongs to another column.
-        hf, kf, top, ratef = h.reshape(-1), k.reshape(-1), work.face.reshape(-1), rate.reshape(-1)
-        if n_z > 1:
-            np.subtract(hf[1:], hf[:-1], out=df[:-1])
-            df[:-1] *= 0.5 / grid.dz**2
-            df[:-1] += 0.5 / grid.dz
-            np.add(kf[1:], kf[:-1], out=top[:-1])
-            top[:-1] *= df[:-1]
-        top3 = work.face.reshape(rows, n_r, n_t, n_z)
-        top3[..., -1] = inflow
-        np.subtract(top[1:], top[:-1], out=ratef[1:])
-        k3, rate3 = k.reshape(top3.shape), rate.reshape(top3.shape)
-        # unit-gradient drainage K(h_bottom), or no flux
-        g_bottom = k3[..., 0] if self.bottom_bc == "free_drainage" else np.zeros(top3.shape[:-1])
-        np.subtract(top3[..., 0], g_bottom / grid.dz, out=rate3[..., 0])
+        if work.vertical is not None:
+            h_above, h_below, diff, k_above, k_below, top, half_over_dz2, half_over_dz = work.vertical
+            np.subtract(h_above, h_below, out=diff)
+            diff *= half_over_dz2
+            diff += half_over_dz
+            np.add(k_above, k_below, out=top)
+            top *= diff
+        work.surface_face[...] = inflow
+        np.subtract(work.face_ahead, work.face_behind, out=work.rate_ahead)
+        np.divide(work.bottom, work.dz, out=work.drain)
+        np.subtract(work.bottom_face, work.drain, out=work.bottom_rate)
 
         # The radial and azimuthal faces are flat passes over the batch too: a
         # ring neighbour is n_theta n_z entries on, a theta neighbour n_z. Each
         # node adds its radial lo, radial hi and azimuthal terms in that order.
-        width = n_t * n_z
-        radial_lo, radial_hi, azimuthal = _stencil(grid)
+        df2, flux2, df, ratef = work.df2, work.flux2, work.df, work.rate_flat
+        radial_lo, radial_hi, azimuthal = work.stencil
 
         # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R. An
         # outer-ring entry pairs a node with the next row's inner ring: its
         # flux is set to +0.0, so it adds -0.0 and takes +0.0
-        if n_r > 1:
-            np.add(kf[width:], kf[:-width], out=flux[:-width])
-            np.subtract(hf[width:], hf[:-width], out=df[:-width])
-            flux[:-width] *= df[:-width]
-            flux2[:, -width:] = 0.0
+        if work.radial is not None:
+            k_out, k_in, flux, h_out, h_in, diff, outer, rate_in, rate_out = work.radial
+            np.add(k_out, k_in, out=flux)
+            np.subtract(h_out, h_in, out=diff)
+            flux *= diff
+            outer[...] = 0.0
             np.multiply(flux2, radial_lo, out=df2)
-            ratef[:-width] += df[:-width]
+            rate_in += diff
             np.multiply(flux2, radial_hi, out=df2)
-            ratef[width:] -= df[:-width]
+            rate_out -= diff
 
         # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic. flux_t[m + n_z]
         # is the face after node m; the slot after a ring's last block holds
         # the ring's wrapped face, and its first block's difference is redone
-        if n_t > 1:
-            flux_t = work.flux_t
-            np.add(kf[:-n_z], kf[n_z:], out=flux_t[n_z:-n_z])
-            np.subtract(hf[n_z:], hf[:-n_z], out=df[:-n_z])
-            flux_t[n_z:-n_z] *= df[:-n_z]
-            rings = (rows * n_r, width)
-            k2, h2, faces = kf.reshape(rings), hf.reshape(rings), flux_t[n_z:].reshape(rings)
-            wrap = np.add(k2[:, -n_z:], k2[:, :n_z], out=faces[:, -n_z:])
-            wrap *= np.subtract(h2[:, :n_z], h2[:, -n_z:], out=work.logs[2].reshape(rings)[:, :n_z])
-            np.subtract(flux_t[n_z:], flux_t[:-n_z], out=df)
-            np.subtract(faces[:, :n_z], wrap, out=df.reshape(rings)[:, :n_z])
+        if work.azimuthal is not None:
+            (k_before, k_after, flux, h_after, h_before, diff, k_last, k_first, wrap, h_first, h_last,
+             wrap_diff, face_after, face_before, first_faces, first_diff) = work.azimuthal
+            np.add(k_before, k_after, out=flux)
+            np.subtract(h_after, h_before, out=diff)
+            flux *= diff
+            np.add(k_last, k_first, out=wrap)
+            wrap *= np.subtract(h_first, h_last, out=wrap_diff)
+            np.subtract(face_after, face_before, out=df)
+            np.subtract(first_faces, wrap, out=first_diff)
             df2 *= azimuthal
             ratef += df
 
         sink = sink_term(h, self.roots, scale, out=work.sink)
         rate += sink
         rate /= c_eff
-        return rate, g_bottom, sink
+        return rate, work.bottom, sink
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -389,7 +436,7 @@ class FullModel:
         h = x.reshape(-1, grid.n_nodes)
         inflow = _surface_flux(surface, forcing, grid, h.shape[0]) / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
-        rate, _, _ = self._rates(h, inflow, scale, _Workspace(h.shape, grid))
+        rate, _, _ = self._rates(h, inflow, scale, _Workspace(h, self))
         return rate.reshape(x.shape)
 
     def step(self, x, surface, forcing, dt, budget=None):
@@ -413,7 +460,7 @@ class FullModel:
         inflow = q_in / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
         sub = dt / self.substeps
-        work = _Workspace(h.shape, grid)
+        work = _Workspace(h, self)
         if budget is not None:
             area = grid.column_area()
             volume = grid.cell_volumes()

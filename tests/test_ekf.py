@@ -223,6 +223,19 @@ class TestUpdate:
             ekf_update(state, np.array([-9.0, -12.0]), r_cov)
         assert ekf_update(state, np.array([-9.0, -12.0]), 0.08 * np.eye(2)).xi.shape == (3,)
 
+    @pytest.mark.parametrize("r_cov, error", [
+        (np.array([[np.nan, 0.0], [0.0, 0.1]]), NonFiniteState),
+        (np.array([[0.1, 0.0], [0.0, np.inf]]), NonFiniteState),
+        (np.array([[0.1, 0.5], [0.0, 0.1]]), ValidationError),
+    ], ids=["nan", "inf", "asymmetric"])
+    def test_measurement_cov_must_be_finite_and_symmetric(self, loam, r_cov, error):
+        # NaN gave a NaN estimate; an asymmetric R passed the Cholesky test,
+        # which reads only its lower triangle, while the gain used all of it
+        model = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        state = initialize_filter(model, np.full(6, -10.0), NoiseConfig(), [0, 3])
+        with pytest.raises(error, match="^R "):
+            ekf_update(state, np.array([-9.0, -12.0]), r_cov)
+
 
 class TestReconstructAndTransfer:
     def test_singleton_roundtrip(self, loam):
@@ -320,6 +333,24 @@ class TestReconstructAndTransfer:
         for call in calls:
             with pytest.raises(BadSensorIndex, match=r"^sensor index out of range \[0, 6\)$"):
                 call()
+
+    @pytest.mark.parametrize("sensors, message", [([1.5], "must be integers"), ([np.nan], "must be integers"),
+                                                  ([], "sensor list is empty")], ids=["fractional", "nan", "empty"])
+    def test_sensor_index_must_be_an_integer(self, loam, sensors, message):
+        # 1.5 observed node 1, and an empty list built a (0, r) map with
+        # which ekf_update returned the prior without a word
+        model = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)
+        state = initialize_filter(model, np.full(6, -10.0), NoiseConfig(), [0])
+        calls = (lambda: sensor_output_map(model.clustering, sensors),
+                 lambda: initialize_filter(model, np.full(6, -10.0), NoiseConfig(), sensors),
+                 lambda: transfer_model(state, model, NoiseConfig(), sensors))
+        for call in calls:
+            with pytest.raises(BadSensorIndex, match=message):
+                call()
+
+    def test_integral_float_sensor_index_accepted(self):
+        clustering = Clustering(np.array([0, 0, 1, 1, 2, 2]), 3)
+        assert np.array_equal(sensor_output_map(clustering, [5.0, 2.0]), sensor_output_map(clustering, [5, 2]))
 
     def test_transfer_to_another_grid_rejected(self, loam):
         old = reduced_on(Clustering(np.array([0, 0, 1, 1, 2, 2]), 3), loam)

@@ -280,19 +280,75 @@ class TestClustering:
             with pytest.raises(NonFiniteState):
                 cluster_trajectories(SnapshotMatrix(data), 1.0)
 
-    def test_separated_groups_never_link_all_nodes(self, monkeypatch):
+    @pytest.fixture()
+    def linked_sizes(self, monkeypatch):
+        """The node count of every block that cluster_trajectories hands to pdist, in call order."""
         import scipy.spatial.distance
 
         sizes = []
         pdist = scipy.spatial.distance.pdist
         monkeypatch.setattr(scipy.spatial.distance, "pdist", lambda x: (sizes.append(len(x)), pdist(x))[1])
+        return sizes
+
+    def test_separated_groups_never_link_all_nodes(self, linked_sizes):
+        # each tight group's bounding box is narrower than th_c: one cluster, no distances at all
         rng = np.random.default_rng(3)
         data = np.concatenate([rng.normal(0.0, 0.01, (6, 10)), rng.normal(40.0, 0.01, (6, 12))], axis=1)
         data = data[:, rng.permutation(22)]
         c = cluster_trajectories(SnapshotMatrix(data), 1.0)
-        assert sorted(sizes) == [10, 12]
+        assert linked_sizes == []
         assert c.n_clusters == 2
         assert np.array_equal(c.assignment, one_block_average_linkage(data, 1.0))
+
+    def test_spread_groups_link_each_group_alone(self, linked_sizes):
+        # groups wider than th_c that no time row cuts still link, each on its own
+        rng = np.random.default_rng(3)
+        data = np.concatenate([rng.normal(0.0, 0.3, (6, 10)), rng.normal(40.0, 0.3, (6, 12))], axis=1)
+        data = data[:, rng.permutation(22)]
+        c = cluster_trajectories(SnapshotMatrix(data), 1.0)
+        assert sorted(linked_sizes) == [10, 12]
+        assert np.array_equal(c.assignment, one_block_average_linkage(data, 1.0))
+
+    def test_groups_with_equal_projections_split_on_a_time_row(self, linked_sizes):
+        # the groups swap levels halfway, so the ones projection cannot tell
+        # them apart; a time row can
+        rng = np.random.default_rng(8)
+        step = np.repeat([0.0, 5.0], 3)
+        noise = rng.normal(0.0, 0.3, (6, 22))
+        noise -= noise.mean(axis=0)  # every node's projection is the groups' common one
+        data = np.concatenate([np.tile(step[:, None], 10), np.tile(step[::-1, None], 12)], axis=1) + noise
+        x = data - data.min(axis=1, keepdims=True)
+        assert np.ptp(x.sum(axis=0) / np.sqrt(6)) < 1e-9
+        c = cluster_trajectories(SnapshotMatrix(data), 1.0)
+        assert sorted(linked_sizes) == [10, 12]
+        assert not set(c.assignment[:10]) & set(c.assignment[10:])
+        assert np.array_equal(c.assignment, one_block_average_linkage(data, 1.0))
+
+    @pytest.mark.parametrize("n_times", [1, 4, 33])
+    def test_diameter_within_rounding_of_threshold_links(self, linked_sizes, n_times):
+        # A pair whose distance sits within the margin of th_c, on either
+        # side, is neither taken as one cluster nor cut: it links, and merges
+        # only strictly below th_c. Half the pairs differ along one time row
+        # only, so that the row's gap is their distance; th_c lies 1e-11
+        # relative, or one or two ulps, from it.
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(n_times)
+        for case in range(200):
+            a = rng.uniform(-14.0, -0.5, n_times)
+            direction = np.eye(n_times)[rng.integers(n_times)] if case % 2 else rng.normal(size=n_times)
+            b = a + 0.3 * rng.uniform(0.9, 1.1) * direction / np.linalg.norm(direction)
+            data = np.stack([a, b], axis=1)
+            th_c = pdist(data.T)[0]
+            if case % 4 < 2:
+                th_c *= 1.0 + rng.uniform(-1e-11, 1e-11)
+            else:
+                for _ in range(rng.integers(1, 3)):
+                    th_c = np.nextafter(th_c, np.inf)
+            linked_sizes.clear()
+            c = cluster_trajectories(SnapshotMatrix(data), th_c)
+            assert linked_sizes == [2]
+            assert np.array_equal(c.assignment, one_block_average_linkage(data, th_c))
 
 
 @st.composite
@@ -325,19 +381,32 @@ def test_block_split_matches_one_block_linkage(case):
     assert np.array_equal(c.assignment, one_block_average_linkage(data, th_c))
 
 
-def test_import_leaves_scipy_cluster_unloaded():
-    # scipy.cluster and scipy.spatial are imported by the first clustering
-    # call, not by `import pivotflow`, which they would slow by about 0.34 s;
-    # scipy.sparse, which they load, is needed by nothing else, as U is
-    # applied by index
+def loaded_scipy_modules(code: str) -> str:
+    """Which of scipy.cluster, scipy.spatial and scipy.sparse are loaded after ``code`` runs in a fresh interpreter."""
     import pivotflow
 
     src = str(Path(pivotflow.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import pivotflow, sys; "
-            "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code += ("; import sys; "
+             "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_import_leaves_scipy_cluster_unloaded():
+    # scipy.cluster and scipy.spatial are imported by the first clustering
+    # call that links a block, not by `import pivotflow`, which they would
+    # slow by about 0.34 s; scipy.sparse, which they load, is needed by
+    # nothing else, as U is applied by index
+    assert loaded_scipy_modules("import pivotflow") == "[]"
+
+
+def test_clustering_tight_groups_leaves_scipy_cluster_unloaded():
+    # blocks narrower than th_c are clusters without linkage, so no import
+    code = ("import numpy as np, pivotflow; "
+            "data = np.repeat([0.0, 0.001, 5.0, 5.001], 3).reshape(4, 3).T; "
+            "c = pivotflow.cluster_trajectories(pivotflow.SnapshotMatrix(data), 1.0); "
+            "assert c.assignment.tolist() == [0, 0, 1, 1], c")
+    assert loaded_scipy_modules(code) == "[]"
 
 
 class TestProjection:

@@ -514,6 +514,16 @@ class TestObserve:
         with pytest.raises(BadSensorIndex):
             observe(np.zeros(10), [-1])
 
+    @pytest.mark.parametrize("sensors, message", [([1.5], "must be integers"), ([np.nan], "must be integers"),
+                                                  ([], "sensor list is empty")], ids=["fractional", "nan", "empty"])
+    def test_sensor_index_must_be_an_integer(self, sensors, message):
+        # 1.5 read node 1, and NaN raised a bare ValueError
+        with pytest.raises(BadSensorIndex, match=message):
+            observe(np.arange(4.0), sensors)
+
+    def test_integral_float_sensor_index_accepted(self):
+        assert np.array_equal(observe(np.arange(4.0), [3.0, 1.0]), [3.0, 1.0])
+
     def test_paper_scale_layout_has_90_sensors(self):
         grid = CylindricalGrid(n_r=25, n_theta=68, n_z=12, radius=290.0, depth=0.4)
         assert grid.n_nodes == 20400

@@ -43,15 +43,11 @@ SCHEMES = ("performance", "static", "time-triggered")
 # Steps filtered ahead under one model whose e_L windows then run as one batch.
 # With lock-step windows a block of W windows makes n_fd full calls of W rows,
 # so a wider block spreads each call's fixed cost over more rows; with two CPUs
-# a forked helper takes the later half of the windows, so each process makes
+# a helper process takes the later half of the windows, so each process makes
 # n_fd calls of about W/2 rows and holds only its half of the trajectories.
-# Measured on the benchmark's desk-shift workload (720 nodes, n_fd 32, 2-core
-# VM; seeds 1-3, medians) while the helper was a hand-rolled fork and before
-# flat sub-steps, so the seconds predate both; estimate_s / peak RSS of the
-# estimating process by look-ahead, one process | split: 16: 5.48 s / 76.9 MB
-# | 4.67 s / 75.1 MB; 32: 5.72 s / 81.1 MB | 3.51 s / 77.3 MB; 64: 4.82 s /
-# 89.8 MB | 3.64 s / 81.9 MB. Split, 32 is as fast as 64 and holds 6 % less
-# memory.
+# On the benchmark's desk-shift workload with the split, 32 ran as fast as 64
+# and the estimating process held 6 % less memory (BENCH_two_core_el.json,
+# lookahead_sweep).
 _LOOKAHEAD = 32
 
 

@@ -15,6 +15,12 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _integral(values) -> bool:
+    """Whether ``values`` holds integers: an integer dtype, or floats that are all finite whole numbers."""
+    a = np.asarray(values)
+    return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.all(np.isfinite(a) & (a == np.floor(a)))))
+
+
 @dataclass(frozen=True)
 class CylindricalGrid:
     n_r: int
@@ -25,8 +31,10 @@ class CylindricalGrid:
 
     def __post_init__(self):
         for name in ("n_r", "n_theta", "n_z"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
+            count = getattr(self, name)
+            if not (_integral(count) and count >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1")
+            object.__setattr__(self, name, int(count))
         for name in ("radius", "depth"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and > 0")

@@ -26,7 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
-from .richards import MAX_HEAD, FullModel, _stencil, _surface_flux, _uptake_scale, root_weight, stress_factor
+from .grid import _integral
+from .richards import (MAX_HEAD, FullModel, _rows_of, _stencil, _surface_flux, _uptake_scale, root_weight,
+                       stress_factor)
 from .soil import VanGenuchtenParams, _capacity, _conductivity, _suction_logs
 
 
@@ -59,7 +61,7 @@ class Clustering:
 
     def __post_init__(self):
         given = np.asarray(self.assignment)
-        if given.dtype.kind == "f" and not np.all(np.isfinite(given) & (given == np.floor(given))):
+        if not _integral(given):
             raise ValidationError("cluster assignment must hold integer ids")
         object.__setattr__(self, "assignment", np.asarray(given, dtype=int))
         if self.assignment.ndim != 1 or self.assignment.size == 0:
@@ -85,9 +87,9 @@ class Clustering:
 def _windows(starts, inputs, offsets):
     """``starts`` as a (W, size) batch, ``offsets`` as W integer ticks, and the windows' common horizon."""
     starts, ticks = np.atleast_2d(np.asarray(starts, dtype=float)), np.asarray(offsets)
-    if ticks.dtype.kind == "f" and np.all(np.isfinite(ticks) & (ticks == np.floor(ticks))):
+    if _integral(ticks):
         ticks = ticks.astype(int)
-    if (ticks.dtype.kind not in "iu" or ticks.size == 0 or ticks.shape != starts.shape[:1]
+    if (ticks.dtype.kind != "i" or ticks.size == 0 or ticks.shape != starts.shape[:1]
             or np.any(np.diff(ticks) < 0) or ticks[0] < 0):
         raise DimensionMismatch("offsets must be integral, ascending, nonnegative and one per start, at least one")
     if len(inputs) <= ticks[-1]:
@@ -211,14 +213,6 @@ def cluster_trajectories(snapshots: SnapshotMatrix, th_c: float) -> Clustering:
     ids = np.empty(labels.max() + 1, dtype=int)
     ids[labels[np.sort(first)]] = np.arange(first.size)
     return Clustering(ids[labels], first.size)
-
-
-def _rows_of(x, size: int, what: str) -> np.ndarray:
-    """``x`` as floats, checked to be one vector (size,) or a batch (B, size)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != size or x.size == 0:
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({size},) or (B, {size}) with B >= 1")
-    return x
 
 
 def reduce_state(clustering: Clustering, x) -> np.ndarray:
@@ -373,9 +367,7 @@ class ReducedModel:
             return self.full.step(xi, surface, forcing, dt)
         if not 0 < dt < np.inf:
             raise ValidationError("dt must be finite and > 0")
-        xi = _rows_of(xi, self.order, "reduced state")
-        if not np.all(np.isfinite(xi)):
-            raise NonFiniteState("reduced state contains non-finite entries")
+        xi = _rows_of(xi, self.order, "reduced state", finite=True)
         full = self.full
         grid = full.grid
         n_groups, order = graph.cluster.size, self.order

@@ -23,7 +23,7 @@ from .errors import (
     UnstableStep,
     ValidationError,
 )
-from .grid import CylindricalGrid
+from .grid import CylindricalGrid, _integral
 from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
@@ -236,11 +236,21 @@ def _sensor_nodes(sensor_nodes, n_nodes: int) -> np.ndarray:
     s = np.asarray(sensor_nodes)
     if s.size == 0:
         raise BadSensorIndex("sensor list is empty")
-    if s.dtype.kind == "f" and not np.all(np.isfinite(s) & (s == np.floor(s))):
+    if not _integral(s):
         raise BadSensorIndex("sensor indices must be integers")
     if s.min() < 0 or s.max() >= n_nodes:
         raise BadSensorIndex(f"sensor index out of range [0, {n_nodes})")
     return s.astype(int)
+
+
+def _rows_of(x, size: int, what: str, finite: bool = False) -> np.ndarray:
+    """``x`` as floats, checked to be one vector (size,) or a batch (B, size) and, if ``finite``, to be finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != size or x.size == 0:
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({size},) or (B, {size}) with B >= 1")
+    if finite and not np.all(np.isfinite(x)):
+        raise NonFiniteState(f"{what} contains non-finite entries")
+    return x
 
 
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
@@ -254,62 +264,6 @@ def observe(x, sensor_nodes, v=None) -> np.ndarray:
             raise DimensionMismatch(f"noise has shape {v.shape}, expected ({s.size},), one entry per sensor")
         y = y + v
     return y
-
-
-class _Workspace:
-    """Sub-step temporaries of one step call, and every view of them and of the state that ``_rates`` reads.
-
-    ``h`` is the call's (B, n_nodes) state. The sub-steps update it in place,
-    so its views follow every update. Each pass's views are built here once
-    per call, not once per sub-step; a flat neighbour lies ``s`` entries on,
-    with s = 1 (vertical), n_z (azimuthal) and n_theta n_z (radial), so a
-    pass pairs a[s:] with a[:-s].
-    """
-
-    def __init__(self, h, model: FullModel):
-        grid = model.grid
-        rows, (n_r, n_t, n_z) = h.shape[0], (grid.n_r, grid.n_theta, grid.n_z)
-        width = n_t * n_z
-        self.logs = tuple(np.empty(h.shape) for _ in range(3))
-        self.k, self.c, self.rate, self.sink, self.face = (np.empty(h.shape) for _ in range(5))
-        self.stencil = _stencil(grid)
-        self.dz = grid.dz
-        # the logs are spent once K and C are evaluated: their arrays serve as scratch
-        df2, flux2 = self.logs[0], self.logs[1]
-        df, flux = df2.reshape(-1), flux2.reshape(-1)
-        hf, kf, top, ratef = h.reshape(-1), self.k.reshape(-1), self.face.reshape(-1), self.rate.reshape(-1)
-        self.df2, self.flux2, self.df, self.rate_flat = df2, flux2, df, ratef
-
-        # vertical: ``top`` holds the flux through each cell's upper face over dz
-        self.vertical = None
-        if n_z > 1:
-            self.vertical = (hf[1:], hf[:-1], df[:-1], kf[1:], kf[:-1], top[:-1], 0.5 / grid.dz**2, 0.5 / grid.dz)
-        top3 = self.face.reshape(rows, n_r, n_t, n_z)
-        self.surface_face, self.face_ahead, self.face_behind = top3[..., -1], top[1:], top[:-1]
-        self.rate_ahead = ratef[1:]
-        k3, rate3 = self.k.reshape(top3.shape), self.rate.reshape(top3.shape)
-        # unit-gradient drainage K(h_bottom), or no flux; ``drain`` receives it over dz
-        self.bottom = k3[..., 0] if model.bottom_bc == "free_drainage" else np.zeros(top3.shape[:-1])
-        self.drain = np.empty(top3.shape[:-1])
-        self.bottom_face, self.bottom_rate = top3[..., 0], rate3[..., 0]
-
-        self.radial = None
-        if n_r > 1:
-            self.radial = (kf[width:], kf[:-width], flux[:-width], hf[width:], hf[:-width], df[:-width],
-                           flux2[:, -width:], ratef[:-width], ratef[width:])
-
-        self.azimuthal = None
-        if n_t > 1:
-            # azimuthal faces, entry m + n_z after node m; the first n_z stay 0.0
-            flux_t = np.zeros(h.size + n_z)
-            rings = (rows * n_r, width)
-            k2, h2, faces = kf.reshape(rings), hf.reshape(rings), flux_t[n_z:].reshape(rings)
-            self.azimuthal = (
-                kf[:-n_z], kf[n_z:], flux_t[n_z:-n_z], hf[n_z:], hf[:-n_z], df[:-n_z],
-                k2[:, -n_z:], k2[:, :n_z], faces[:, -n_z:], h2[:, :n_z], h2[:, -n_z:],
-                self.logs[2].reshape(rings)[:, :n_z], flux_t[n_z:], flux_t[:-n_z], faces[:, :n_z],
-                df.reshape(rings)[:, :n_z],
-            )
 
 
 @dataclass(frozen=True)
@@ -344,99 +298,134 @@ class FullModel:
     def n_states(self) -> int:
         return self.grid.n_nodes
 
-    def _rates(self, h, inflow, scale, work):
-        """dh/dt of a (B, n_nodes) batch into ``work.rate``, with the parts water accounting reads.
+    def _rates(self, h, inflow, scale):
+        """The rate pass of one call on its (B, n_nodes) batch ``h``: a function ``rates()``.
 
         ``inflow`` is the surface flux over dz, (B, n_r, n_theta), and
-        ``scale`` the ``sink_scale`` of the interval; both are built once per
-        call, as is ``work``, a ``_Workspace`` of ``h``. Returns (dh/dt,
-        bottom drainage flux (B, n_r, n_theta), sink S).
+        ``scale`` the ``sink_scale`` of the interval. The call's buffers, and
+        every view of them and of ``h`` that the pass reads, are bound here
+        once per call, not once per sub-step. ``step`` updates ``h`` in place,
+        so its views follow every update. A flat neighbour lies ``s`` entries
+        on, with s = 1 (vertical), n_z (azimuthal) and n_theta n_z (radial),
+        so a pass pairs a[s:] with a[:-s]. Each ``rates()`` evaluates dh/dt at
+        ``h``'s current values and returns (dh/dt, bottom drainage flux (B,
+        n_r, n_theta), sink S), with the parts water accounting reads, in
+        arrays that the next call overwrites.
         """
-        logs = suction_logs(h, self.soil, out=work.logs)
-        k = hydraulic_conductivity(h, self.soil, logs=logs, out=work.k)
-        c_eff = capillary_capacity(h, self.soil, logs=logs, out=work.c)
-        np.maximum(c_eff, self.storativity, out=c_eff)
-        rate = work.rate
+        grid, soil, roots, storativity = self.grid, self.soil, self.roots, self.storativity
+        rows, (n_r, n_t, n_z) = h.shape[0], (grid.n_r, grid.n_theta, grid.n_z)
+        width = n_t * n_z
+        logs = tuple(np.empty(h.shape) for _ in range(3))
+        k, c, rate, sink, face = (np.empty(h.shape) for _ in range(5))
+        radial_lo, radial_hi, azimuthal = _stencil(grid)
+        dz = grid.dz
+        # the logs are spent once K and C are evaluated: their arrays serve as scratch
+        df2, flux2 = logs[0], logs[1]
+        df, flux = df2.reshape(-1), flux2.reshape(-1)
+        hf, kf, top, ratef = h.reshape(-1), k.reshape(-1), face.reshape(-1), rate.reshape(-1)
 
-        # vertical: d/dz [K (dh/dz + 1)]. ``top`` holds the downward-positive
-        # flux through each cell's upper face over dz, (K_a + K_b) (dh /
-        # (2 dz^2) + 1 / (2 dz)), and the inflow over dz at the surface. In
-        # flat order the lower face of a cell is the upper face of the entry
-        # before it, except in the bottom layer, where the flat neighbour
-        # belongs to another column.
-        if work.vertical is not None:
-            h_above, h_below, diff, k_above, k_below, top, half_over_dz2, half_over_dz = work.vertical
-            np.subtract(h_above, h_below, out=diff)
-            diff *= half_over_dz2
-            diff += half_over_dz
-            np.add(k_above, k_below, out=top)
-            top *= diff
-        work.surface_face[...] = inflow
-        np.subtract(work.face_ahead, work.face_behind, out=work.rate_ahead)
-        np.divide(work.bottom, work.dz, out=work.drain)
-        np.subtract(work.bottom_face, work.drain, out=work.bottom_rate)
+        # vertical: ``top`` holds the flux through each cell's upper face over dz
+        if n_z > 1:
+            h_above, h_below, v_diff, k_above, k_below, v_top = hf[1:], hf[:-1], df[:-1], kf[1:], kf[:-1], top[:-1]
+            half_over_dz2, half_over_dz = 0.5 / dz**2, 0.5 / dz
+        top3 = face.reshape(rows, n_r, n_t, n_z)
+        surface_face, face_ahead, face_behind, rate_ahead = top3[..., -1], top[1:], top[:-1], ratef[1:]
+        k3, rate3 = k.reshape(top3.shape), rate.reshape(top3.shape)
+        # unit-gradient drainage K(h_bottom), or no flux; ``drain`` receives it over dz
+        bottom = k3[..., 0] if self.bottom_bc == "free_drainage" else np.zeros(top3.shape[:-1])
+        drain = np.empty(top3.shape[:-1])
+        bottom_face, bottom_rate = top3[..., 0], rate3[..., 0]
 
-        # The radial and azimuthal faces are flat passes over the batch too: a
-        # ring neighbour is n_theta n_z entries on, a theta neighbour n_z. Each
-        # node adds its radial lo, radial hi and azimuthal terms in that order.
-        df2, flux2, df, ratef = work.df2, work.flux2, work.df, work.rate_flat
-        radial_lo, radial_hi, azimuthal = work.stencil
+        if n_r > 1:
+            k_out, k_in, r_flux, h_out, h_in = kf[width:], kf[:-width], flux[:-width], hf[width:], hf[:-width]
+            r_diff, outer, rate_in, rate_out = df[:-width], flux2[:, -width:], ratef[:-width], ratef[width:]
 
-        # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R. An
-        # outer-ring entry pairs a node with the next row's inner ring: its
-        # flux is set to +0.0, so it adds -0.0 and takes +0.0
-        if work.radial is not None:
-            k_out, k_in, flux, h_out, h_in, diff, outer, rate_in, rate_out = work.radial
-            np.add(k_out, k_in, out=flux)
-            np.subtract(h_out, h_in, out=diff)
-            flux *= diff
-            outer[...] = 0.0
-            np.multiply(flux2, radial_lo, out=df2)
-            rate_in += diff
-            np.multiply(flux2, radial_hi, out=df2)
-            rate_out -= diff
+        if n_t > 1:
+            # azimuthal faces, entry m + n_z after node m; the first n_z stay 0.0
+            flux_t = np.zeros(h.size + n_z)
+            rings = (rows * n_r, width)
+            k2, h2, faces = kf.reshape(rings), hf.reshape(rings), flux_t[n_z:].reshape(rings)
+            k_before, k_after, t_flux, h_after, h_before = kf[:-n_z], kf[n_z:], flux_t[n_z:-n_z], hf[n_z:], hf[:-n_z]
+            t_diff, k_last, k_first, wrap = df[:-n_z], k2[:, -n_z:], k2[:, :n_z], faces[:, -n_z:]
+            h_first, h_last, wrap_diff = h2[:, :n_z], h2[:, -n_z:], logs[2].reshape(rings)[:, :n_z]
+            face_after, face_before, first_faces = flux_t[n_z:], flux_t[:-n_z], faces[:, :n_z]
+            first_diff = df.reshape(rings)[:, :n_z]
 
-        # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic. flux_t[m + n_z]
-        # is the face after node m; the slot after a ring's last block holds
-        # the ring's wrapped face, and its first block's difference is redone
-        if work.azimuthal is not None:
-            (k_before, k_after, flux, h_after, h_before, diff, k_last, k_first, wrap, h_first, h_last,
-             wrap_diff, face_after, face_before, first_faces, first_diff) = work.azimuthal
-            np.add(k_before, k_after, out=flux)
-            np.subtract(h_after, h_before, out=diff)
-            flux *= diff
-            np.add(k_last, k_first, out=wrap)
-            wrap *= np.subtract(h_first, h_last, out=wrap_diff)
-            np.subtract(face_after, face_before, out=df)
-            np.subtract(first_faces, wrap, out=first_diff)
-            df2 *= azimuthal
-            ratef += df
+        def rates():
+            # An augmented assignment such as ``diff *= c`` would make a name
+            # bound above local to this function, so each update is a ufunc
+            # call with ``out=``.
+            terms = suction_logs(h, soil, out=logs)
+            hydraulic_conductivity(h, soil, logs=terms, out=k)
+            c_eff = capillary_capacity(h, soil, logs=terms, out=c)
+            np.maximum(c_eff, storativity, out=c_eff)
 
-        sink = sink_term(h, self.roots, scale, out=work.sink)
-        rate += sink
-        rate /= c_eff
-        return rate, work.bottom, sink
+            # vertical: d/dz [K (dh/dz + 1)]. ``top`` holds the downward-positive
+            # flux through each cell's upper face over dz, (K_a + K_b) (dh /
+            # (2 dz^2) + 1 / (2 dz)), and the inflow over dz at the surface. In
+            # flat order the lower face of a cell is the upper face of the entry
+            # before it, except in the bottom layer, where the flat neighbour
+            # belongs to another column.
+            if n_z > 1:
+                np.subtract(h_above, h_below, out=v_diff)
+                np.multiply(v_diff, half_over_dz2, out=v_diff)
+                np.add(v_diff, half_over_dz, out=v_diff)
+                np.add(k_above, k_below, out=v_top)
+                np.multiply(v_top, v_diff, out=v_top)
+            surface_face[...] = inflow
+            np.subtract(face_ahead, face_behind, out=rate_ahead)
+            np.divide(bottom, dz, out=drain)
+            np.subtract(bottom_face, drain, out=bottom_rate)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.grid.n_nodes
-        if x.shape[-1:] != (n,) or x.ndim > 2 or x.size == 0:
-            raise DimensionMismatch(f"state has shape {x.shape}, expected ({n},) or (B, {n}) with B >= 1")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState("state contains non-finite entries")
-        return x
+            # The radial and azimuthal faces are flat passes over the batch too: a
+            # ring neighbour is n_theta n_z entries on, a theta neighbour n_z. Each
+            # node adds its radial lo, radial hi and azimuthal terms in that order.
+            #
+            # radial: (1/(r dr)) d/dr [r K dh/dr]; no-flux at r = 0 and r = R. An
+            # outer-ring entry pairs a node with the next row's inner ring: its
+            # flux is set to +0.0, so it adds -0.0 and takes +0.0
+            if n_r > 1:
+                np.add(k_out, k_in, out=r_flux)
+                np.subtract(h_out, h_in, out=r_diff)
+                np.multiply(r_flux, r_diff, out=r_flux)
+                outer[...] = 0.0
+                np.multiply(flux2, radial_lo, out=df2)
+                np.add(rate_in, r_diff, out=rate_in)
+                np.multiply(flux2, radial_hi, out=df2)
+                np.subtract(rate_out, r_diff, out=rate_out)
+
+            # azimuthal: (1/r^2) d/dtheta [K dh/dtheta], periodic. flux_t[m + n_z]
+            # is the face after node m; the slot after a ring's last block holds
+            # the ring's wrapped face, and its first block's difference is redone
+            if n_t > 1:
+                np.add(k_before, k_after, out=t_flux)
+                np.subtract(h_after, h_before, out=t_diff)
+                np.multiply(t_flux, t_diff, out=t_flux)
+                np.add(k_last, k_first, out=wrap)
+                np.multiply(wrap, np.subtract(h_first, h_last, out=wrap_diff), out=wrap)
+                np.subtract(face_after, face_before, out=df)
+                np.subtract(first_faces, wrap, out=first_diff)
+                np.multiply(df2, azimuthal, out=df2)
+                np.add(ratef, df, out=ratef)
+
+            s = sink_term(h, roots, scale, out=sink)
+            np.add(rate, s, out=rate)
+            np.divide(rate, c_eff, out=rate)
+            return rate, bottom, s
+
+        return rates
 
     def rhs(self, x, surface, forcing):
         """Time derivative dx/dt [m/s] of one state (n_nodes,) or a batch (B, n_nodes), flat-index order.
 
         The inputs are shared or per row, as for ``step``.
         """
-        x = self._check(x)
+        x = _rows_of(x, self.grid.n_nodes, "state", finite=True)
         grid = self.grid
         h = x.reshape(-1, grid.n_nodes)
         inflow = _surface_flux(surface, forcing, grid, h.shape[0]) / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
-        rate, _, _ = self._rates(h, inflow, scale, _Workspace(h, self))
+        rate, _, _ = self._rates(h, inflow, scale)()
         return rate.reshape(x.shape)
 
     def step(self, x, surface, forcing, dt, budget=None):
@@ -451,7 +440,7 @@ class FullModel:
         """
         if not 0 < dt < np.inf:
             raise ValidationError("dt must be finite and > 0")
-        x = self._check(x)
+        x = _rows_of(x, self.grid.n_nodes, "state", finite=True)
         if budget is not None and x.ndim != 1:
             raise ValidationError("a water budget is kept for one state at a time")
         grid = self.grid
@@ -460,15 +449,16 @@ class FullModel:
         inflow = q_in / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
         sub = dt / self.substeps
-        work = _Workspace(h, self)
+        rates = self._rates(h, inflow, scale)
         if budget is not None:
             area = grid.column_area()
             volume = grid.cell_volumes()
         for _ in range(self.substeps):
-            rate, g_bottom, sink = self._rates(h, inflow, scale, work)
+            rate, g_bottom, sink = rates()
             rate *= sub
             h += rate
-            if not np.abs(h, out=work.face).max() <= MAX_HEAD:
+            # the rate is spent once added, and the next rates() rewrites it whole: its array takes |h|
+            if not np.abs(h, out=rate).max() <= MAX_HEAD:
                 raise UnstableStep(
                     f"state diverged after a sub-step of {sub:g} s; increase substeps"
                 )

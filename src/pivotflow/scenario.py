@@ -17,7 +17,7 @@ import yaml
 
 from .ekf import SCHEMES, NoiseConfig
 from .errors import ParseError, ValidationError
-from .grid import CylindricalGrid
+from .grid import CylindricalGrid, _integral
 from .richards import (
     MAX_HEAD,
     FullModel,
@@ -106,9 +106,11 @@ class ScenarioConfig:
                 raise ValidationError(f"{name} must have length 1 or 4 (per quadrant)")
             if not np.all(np.abs(vals) <= MAX_HEAD):  # the steppers' divergence bound; NaN fails it too
                 raise ValidationError(f"{name} must be finite heads with |h| <= {MAX_HEAD:g} m")
-        sensors = np.asarray(self.sensors, dtype=int)
+        sensors = np.asarray(self.sensors)
         if sensors.size == 0:
             raise ValidationError("sensors must be a nonempty node list")
+        if not _integral(sensors):
+            raise ValidationError("sensors must be integer node indices")
         if sensors.min() < 0 or sensors.max() >= self.grid.n_nodes:
             raise ValidationError(f"sensors must lie within [0, {self.grid.n_nodes})")
         if np.unique(sensors).size != sensors.size:
@@ -121,6 +123,8 @@ class ScenarioConfig:
             if not 0 <= self.shift_step <= self.steps:
                 raise ValidationError("truth_shift.step must lie within the run")
         self.truth_models()  # the models check substeps, storativity, bottom_bc and roots.root_depth
+        if not _integral(self.snapshot_steps):
+            raise ValidationError("snapshot_steps must be integer step indices")
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:
                 raise ValidationError("snapshot_steps must lie within [0, steps)")

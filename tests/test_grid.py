@@ -65,6 +65,22 @@ def test_invalid_dimensions_rejected():
         g.flat_index(2, 0, 0)
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("n_r", (2.5, 4, 3)), ("n_theta", (4, np.nan, 3)), ("n_z", (4, 4, np.inf)), ("n_z", (4, 4, 0.0)),
+], ids=["fractional", "nan", "inf", "zero"])
+def test_count_must_be_an_integer(name, counts):
+    # a fractional count once built a grid whose first step raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1$"):
+        CylindricalGrid(*counts, radius=1.0, depth=0.4)
+
+
+def test_integral_float_count_is_stored_as_int():
+    g = CylindricalGrid(2.0, 4, np.float64(3.0), radius=1.0, depth=0.4)
+    assert (g.n_r, g.n_z) == (2, 3) and type(g.n_r) is int and type(g.n_z) is int
+    assert type(g.n_nodes) is int and g.n_nodes == 24
+    assert g.node_coordinates()[0].shape == (24,)
+
+
 @pytest.mark.parametrize("name", ["radius", "depth"])
 def test_infinite_size_rejected(name):
     # an infinite size would only fail at the first step, as a misleading UnstableStep

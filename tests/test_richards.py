@@ -376,6 +376,27 @@ class TestStep:
         assert not np.signbit(sinks[2]).any()
         assert np.all(sinks[[0, 1, 3]] <= 0.0) and np.any(sinks[[0, 1, 3]] < 0.0)
 
+    def test_closures_are_called_by_module_name_once_per_substep(self, small_grid, loam, monkeypatch):
+        # The benchmark's tracer counts these calls by patching their names in
+        # pivotflow.richards: a batched step calls each once per sub-step and
+        # rhs once, however many rows the batch holds.
+        from pivotflow import richards
+
+        names = ("suction_logs", "hydraulic_conductivity", "capillary_capacity", "sink_term")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(richards, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(richards, name, counted)
+        model = FullModel(small_grid, loam, roots=RootUptake(root_depth=0.2), substeps=5)
+        states = np.full((3, small_grid.n_nodes), -6.0)
+        forcing = StepForcing(et=2e-8, k_c=0.5)
+        model.step(states, idle_input(small_grid), forcing, 900.0)
+        assert calls == dict.fromkeys(names, 5)
+        model.rhs(states, idle_input(small_grid), forcing)
+        assert calls == dict.fromkeys(names, 6)
+
     def test_per_row_input_count_is_checked(self, small_model, small_grid):
         states = np.full((3, small_grid.n_nodes), -6.0)
         two = [idle_input(small_grid)] * 2

@@ -62,6 +62,19 @@ def test_sensor_bounds_checked():
         config_from_dict(bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sensors", (0, 1.5, 17)), ("sensors", (0, np.nan, 17)), ("snapshot_steps", (0.5,)),
+], ids=["fractional-sensor", "nan-sensor", "fractional-snapshot"])
+def test_validate_rejects_a_fractional_index_naming_the_key(key, value):
+    # A config built in code skips the loader's integer cast: validate once
+    # truncated 1.5 to sensor node 1, raised a bare ValueError on NaN, and
+    # let snapshot step 0.5 through, which was then never written.
+    cfg = config_from_dict(MINIMAL)
+    with pytest.raises(ValidationError, match=f"^{key} must be integer"):
+        replace(cfg, **{key: value}).validate()
+    replace(cfg, **{key: tuple(float(v) for v in getattr(cfg, key))}).validate()  # integral floats pass
+
+
 ZONE = MINIMAL["soil"]["zones"][0]
 
 

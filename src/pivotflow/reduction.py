@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState, UnstableStep, ValidationError
+from .errors import DimensionMismatch, NonFiniteState, ValidationError
 from .grid import _integral
-from .richards import (MAX_HEAD, FullModel, _rows_of, _stencil, _surface_flux, _uptake_scale, root_weight,
+from .richards import (FullModel, _euler, _rows_of, _stencil, _surface_flux, _uptake_scale, root_weight,
                        stress_factor)
 from .soil import VanGenuchtenParams, _capacity, _conductivity, _suction_logs
 
@@ -396,32 +396,31 @@ class ReducedModel:
         h, k, c, rate, beta, *logs = (np.empty(size) for _ in range(8))
         pair_k, pair_h = np.empty((2,) + ends.shape)
         (k_src, k_dst), (h_src, h_dst) = pair_k, pair_h
+
+        def rates():
+            nonlocal h, rate
+            state.take(to_cluster, out=h, mode="clip")
+            h *= weight
+            _suction_logs(h, soil, logs)
+            _conductivity(logs, soil, k)
+            np.maximum(_capacity(logs, soil, c), full.storativity, out=c)
+            k.take(ends, out=pair_k, mode="clip")
+            h.take(ends, out=pair_h, mode="clip")
+            flow = np.add(k_src, k_dst, out=k_src)
+            head = np.subtract(h_dst, h_src, out=h_src)
+            head *= diffusive
+            head += gravity
+            flow *= head
+            np.subtract(inflow, np.multiply(k, drain, out=rate), out=rate)
+            rate += np.bincount(to_group, weights=flow, minlength=size)
+            if sink is not None:
+                rate += np.multiply(stress_factor(h, full.roots, out=beta), sink, out=beta)
+            rate /= c
+            rate *= weight
+            return np.bincount(to_cluster, weights=rate, minlength=state.size)
+
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for _ in range(full.substeps):
-                state.take(to_cluster, out=h, mode="clip")
-                h *= weight
-                _suction_logs(h, soil, logs)
-                _conductivity(logs, soil, k)
-                np.maximum(_capacity(logs, soil, c), full.storativity, out=c)
-                k.take(ends, out=pair_k, mode="clip")
-                h.take(ends, out=pair_h, mode="clip")
-                flow = np.add(k_src, k_dst, out=k_src)
-                head = np.subtract(h_dst, h_src, out=h_src)
-                head *= diffusive
-                head += gravity
-                flow *= head
-                np.subtract(inflow, np.multiply(k, drain, out=rate), out=rate)
-                rate += np.bincount(to_group, weights=flow, minlength=size)
-                if sink is not None:
-                    rate += np.multiply(stress_factor(h, full.roots, out=beta), sink, out=beta)
-                rate /= c
-                rate *= weight
-                change = np.bincount(to_cluster, weights=rate, minlength=state.size)
-                change *= sub
-                state += change
-                if not np.abs(np.multiply(state, col_weight, out=change), out=change).max() <= MAX_HEAD:
-                    raise UnstableStep(f"reduced state diverged after a sub-step of {sub:g} s; increase substeps")
-        return out.reshape(xi.shape)
+            return _euler(state, rates, full.substeps, sub, "reduced state", weight=col_weight).reshape(xi.shape)
 
 
 def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, offsets) -> np.ndarray:

@@ -44,6 +44,9 @@ class SurfaceInput:
             raise ValidationError("u must be a 1-D array of per-ring rates")
         if self.u.size and not 0 <= self.u.min() <= self.u.max() < np.inf:
             raise ValidationError("u must be finite and nonnegative")
+        if not _integral(self.active_sector):
+            raise ValidationError("active_sector must be an integer")
+        object.__setattr__(self, "active_sector", int(self.active_sector))
 
     @classmethod
     def idle(cls, n_r: int) -> "SurfaceInput":
@@ -266,6 +269,23 @@ def observe(x, sensor_nodes, v=None) -> np.ndarray:
     return y
 
 
+def _euler(state, rates, substeps: int, sub: float, what: str, weight=None, book=None):
+    """Explicit Euler in place: ``substeps`` times state += sub * rates(), then ``book()`` if given.
+
+    The spent rate takes the heads, ``state`` or ``state * weight``; |h| > ``MAX_HEAD`` or NaN raises ``UnstableStep``.
+    """
+    for _ in range(substeps):
+        rate = rates()
+        rate *= sub
+        state += rate
+        heads = state if weight is None else np.multiply(state, weight, out=rate)
+        if not np.abs(heads, out=rate).max() <= MAX_HEAD:
+            raise UnstableStep(f"{what} diverged after a sub-step of {sub:g} s; increase substeps")
+        if book is not None:
+            book()
+    return state
+
+
 @dataclass(frozen=True)
 class FullModel:
     """Grid, soil, and integration settings bundled as the full-order model.
@@ -283,8 +303,9 @@ class FullModel:
     def __post_init__(self):
         if self.bottom_bc not in BOTTOM_CONDITIONS:
             raise ValidationError(f"bottom_bc must be one of {BOTTOM_CONDITIONS}")
-        if self.substeps < 1:
-            raise ValidationError("substeps must be >= 1")
+        if not (_integral(self.substeps) and self.substeps >= 1):
+            raise ValidationError("substeps must be an integer >= 1")
+        object.__setattr__(self, "substeps", int(self.substeps))
         if not 0 < self.storativity < np.inf:
             raise ValidationError("storativity must be finite and > 0")
         if self.roots is not None and self.roots.root_depth > self.grid.depth + 1e-12:
@@ -307,10 +328,10 @@ class FullModel:
         once per call, not once per sub-step. ``step`` updates ``h`` in place,
         so its views follow every update. A flat neighbour lies ``s`` entries
         on, with s = 1 (vertical), n_z (azimuthal) and n_theta n_z (radial),
-        so a pass pairs a[s:] with a[:-s]. Each ``rates()`` evaluates dh/dt at
-        ``h``'s current values and returns (dh/dt, bottom drainage flux (B,
-        n_r, n_theta), sink S), with the parts water accounting reads, in
-        arrays that the next call overwrites.
+        so a pass pairs a[s:] with a[:-s]. Returns ``rates`` with the bottom
+        drainage flux (B, n_r, n_theta) and the sink S that water accounting
+        reads: each ``rates()`` evaluates dh/dt at ``h``'s current values, and
+        the next call overwrites all three arrays.
         """
         grid, soil, roots, storativity = self.grid, self.soil, self.roots, self.storativity
         rows, (n_r, n_t, n_z) = h.shape[0], (grid.n_r, grid.n_theta, grid.n_z)
@@ -411,9 +432,9 @@ class FullModel:
             s = sink_term(h, roots, scale, out=sink)
             np.add(rate, s, out=rate)
             np.divide(rate, c_eff, out=rate)
-            return rate, bottom, s
+            return rate
 
-        return rates
+        return rates, bottom, sink
 
     def rhs(self, x, surface, forcing):
         """Time derivative dx/dt [m/s] of one state (n_nodes,) or a batch (B, n_nodes), flat-index order.
@@ -425,8 +446,8 @@ class FullModel:
         h = x.reshape(-1, grid.n_nodes)
         inflow = _surface_flux(surface, forcing, grid, h.shape[0]) / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
-        rate, _, _ = self._rates(h, inflow, scale)()
-        return rate.reshape(x.shape)
+        rates, _, _ = self._rates(h, inflow, scale)
+        return rates().reshape(x.shape)
 
     def step(self, x, surface, forcing, dt, budget=None):
         """Advance the state by dt with explicit Euler over fixed equal sub-steps.
@@ -449,21 +470,14 @@ class FullModel:
         inflow = q_in / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
         sub = dt / self.substeps
-        rates = self._rates(h, inflow, scale)
+        rates, bottom, sink = self._rates(h, inflow, scale)
+        book = None
         if budget is not None:
             area = grid.column_area()
             volume = grid.cell_volumes()
-        for _ in range(self.substeps):
-            rate, g_bottom, sink = rates()
-            rate *= sub
-            h += rate
-            # the rate is spent once added, and the next rates() rewrites it whole: its array takes |h|
-            if not np.abs(h, out=rate).max() <= MAX_HEAD:
-                raise UnstableStep(
-                    f"state diverged after a sub-step of {sub:g} s; increase substeps"
-                )
-            if budget is not None:
+
+            def book():
                 budget.inflow += float(np.sum(q_in[0] * area)) * sub
-                budget.drainage += float(np.sum(g_bottom * area)) * sub
+                budget.drainage += float(np.sum(bottom * area)) * sub
                 budget.extraction += float(np.sum(-sink.reshape(volume.shape) * volume)) * sub
-        return h.reshape(x.shape)
+        return _euler(h, rates, self.substeps, sub, "state", book=book).reshape(x.shape)

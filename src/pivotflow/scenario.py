@@ -77,23 +77,23 @@ class ScenarioConfig:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "ScenarioConfig":
-        if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
+        # every integer key with its least value; an integral float is stored as int
+        for key, least in (("steps", 1), ("n_fd", 1), ("trigger_period", 0), ("stride", 1), ("seed", 0),
+                           ("substeps", 1), ("irrigation.start_sector", 0), ("truth_shift.step", 0)):
+            name = _KEYS[key][0]
+            value = getattr(self, name)
+            if value is None and key == "truth_shift.step":
+                continue
+            if not (_integral(value) and value >= least):
+                raise ValidationError(f"{key} must be an integer >= {least}")
+            object.__setattr__(self, name, int(value))
         if not 0 < self.delta_s < np.inf:
             raise ValidationError("delta_s must be finite and > 0")
-        if self.n_fd < 1:
-            raise ValidationError("n_fd must be >= 1")
         for name in ("th_e", "th_c", "slope_limit"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
-        if self.trigger_period < 0:
-            raise ValidationError("trigger_period must be >= 0")
-        if self.stride < 1:
-            raise ValidationError("stride must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         if self.estimate_ceiling is not None and not -np.inf < self.estimate_ceiling <= 0:
             raise ValidationError("estimate_ceiling must be finite and <= 0 (or null to disable)")
         for kind in ("process", "measurement"):
@@ -120,7 +120,7 @@ class ScenarioConfig:
         if self.shift_zones is not None:
             if len(self.shift_zones) != len(self.soil_zones):
                 raise ValidationError("truth_shift.zones must match soil.zones in length")
-            if not 0 <= self.shift_step <= self.steps:
+            if self.shift_step > self.steps:
                 raise ValidationError("truth_shift.step must lie within the run")
         self.truth_models()  # the models check substeps, storativity, bottom_bc and roots.root_depth
         if not _integral(self.snapshot_steps):

@@ -732,9 +732,10 @@ class TestCoarseStep:
         reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 7, 7))
         x = np.where(np.arange(grid.n_nodes) % 7 < 3, -0.01, -20.0)
         inputs = (SurfaceInput.idle(grid.n_r), StepForcing(), 1800.0)
-        with pytest.raises(UnstableStep):
+        message = "diverged after a sub-step of 900 s; increase substeps$"
+        with pytest.raises(UnstableStep, match=f"^state {message}"):
             model.step(x, *inputs)
-        with pytest.raises(UnstableStep):
+        with pytest.raises(UnstableStep, match=f"^reduced state {message}"):
             reduced.step(reduce_state(reduced.clustering, x), *inputs)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])

@@ -490,18 +490,39 @@ class TestEnvironmentForcing:
                     replace(cfg, **{name: np.array([0.0, bad])}).validate()
 
 
-@pytest.mark.parametrize("bad", [-1e-8, np.nan, np.inf])
 class TestInputValidation:
-    """A NaN or infinite rate fails at construction instead of blowing up a later step."""
+    """A bad rate or count fails at construction instead of blowing up a later step."""
 
+    @pytest.mark.parametrize("bad", [-1e-8, np.nan, np.inf])
     def test_surface_rates(self, bad):
         with pytest.raises(ValidationError, match="u must be"):
             SurfaceInput([bad, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [-1e-8, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["et", "k_c", "rain"])
     def test_step_forcing(self, name, bad):
         with pytest.raises(ValidationError, match=f"{name} must be"):
             StepForcing(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, np.nan, 0, 0.0, "2"])
+    def test_substeps_must_be_an_integer(self, small_grid, loam, bad):
+        # 2.5 constructed, and the first step raised a bare TypeError
+        with pytest.raises(ValidationError, match=r"^substeps must be an integer >= 1$"):
+            FullModel(small_grid, loam, substeps=bad)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, "1"])
+    def test_active_sector_must_be_an_integer(self, bad):
+        # 1.5 constructed, and a step raised a bare IndexError
+        with pytest.raises(ValidationError, match=r"^active_sector must be an integer$"):
+            SurfaceInput(np.zeros(4), active_sector=bad)
+
+    def test_integral_float_counts_are_stored_as_int(self, small_grid, loam):
+        model = FullModel(small_grid, loam, substeps=2.0)
+        surface = SurfaceInput(np.full(small_grid.n_r, 1e-7), active_sector=7.0)
+        assert type(model.substeps) is int and type(surface.active_sector) is int
+        x = np.full(small_grid.n_nodes, -5.0)
+        want = FullModel(small_grid, loam, substeps=2).step(x, SurfaceInput(surface.u, 7), StepForcing(), 1800.0)
+        assert np.array_equal(model.step(x, surface, StepForcing(), 1800.0), want)
 
 
 # -- observation ------------------------------------------------------------------

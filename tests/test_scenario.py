@@ -10,6 +10,7 @@ import yaml
 from pivotflow import ParseError, ValidationError, load_config
 from pivotflow.scenario import _KEYS, config_from_dict, default_sensor_layers, sensor_lattice
 from pivotflow.grid import CylindricalGrid
+from pivotflow.runner import run_scheme, run_truth
 
 MINIMAL = {
     "grid": {"n_r": 4, "n_theta": 4, "n_z": 3, "radius": 2.0, "depth": 0.3},
@@ -19,6 +20,7 @@ MINIMAL = {
     "sensors": [0, 5, 17],
     "steps": 10,
 }
+MINIMAL_ZONES = config_from_dict(MINIMAL).soil_zones
 
 
 def test_minimal_config_gets_defaults():
@@ -62,17 +64,39 @@ def test_sensor_bounds_checked():
         config_from_dict(bad)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("sensors", (0, 1.5, 17)), ("sensors", (0, np.nan, 17)), ("snapshot_steps", (0.5,)),
-], ids=["fractional-sensor", "nan-sensor", "fractional-snapshot"])
-def test_validate_rejects_a_fractional_index_naming_the_key(key, value):
+@pytest.mark.parametrize("key, change", [
+    ("sensors", {"sensors": (0, 1.5, 17)}), ("sensors", {"sensors": (0, np.nan, 17)}),
+    ("snapshot_steps", {"snapshot_steps": (0.5,)}),
+    ("trigger_period", {"trigger_period": 2.5}), ("stride", {"stride": 1.5}),
+    ("truth_shift.step", {"shift_step": 4.5, "shift_zones": MINIMAL_ZONES}),
+    ("n_fd", {"n_fd": 2.5}), ("steps", {"steps": 6.5}), ("substeps", {"substeps": 2.5}), ("seed", {"seed": 1.5}),
+    ("irrigation.start_sector", {"irrigation_start_sector": 1.5}), ("n_fd", {"n_fd": np.nan}),
+    ("seed", {"seed": "1"}),
+], ids=["fractional-sensor", "nan-sensor", "fractional-snapshot", "fractional-trigger-period", "fractional-stride",
+        "fractional-shift-step", "fractional-n-fd", "fractional-steps", "fractional-substeps", "fractional-seed",
+        "fractional-start-sector", "nan-n-fd", "string-seed"])
+def test_validate_rejects_a_fractional_index_naming_the_key(key, change):
     # A config built in code skips the loader's integer cast: validate once
     # truncated 1.5 to sensor node 1, raised a bare ValueError on NaN, and
-    # let snapshot step 0.5 through, which was then never written.
+    # let snapshot step 0.5 through, which was then never written. A
+    # fractional trigger period, stride or shift step ran on a period or a
+    # step of its own; n_fd, steps, substeps and seed raised a bare TypeError
+    # once run, and the start sector a bare IndexError.
     cfg = config_from_dict(MINIMAL)
-    with pytest.raises(ValidationError, match=f"^{key} must be integer"):
-        replace(cfg, **{key: value}).validate()
-    replace(cfg, **{key: tuple(float(v) for v in getattr(cfg, key))}).validate()  # integral floats pass
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be (an )?integer"):
+        replace(cfg, **change).validate()
+
+
+def test_validate_stores_integral_floats_as_int_and_runs():
+    # integral floats such as 4.0 once passed validate and raised a bare TypeError once run
+    counts = dict(steps=4.0, n_fd=2.0, trigger_period=2.0, stride=1.0, seed=3.0, substeps=4.0,
+                  irrigation_start_sector=1.0, shift_step=2.0, shift_zones=MINIMAL_ZONES)
+    cfg = replace(config_from_dict(MINIMAL), **counts, sensors=(0.0, 5.0, 17.0), snapshot_steps=(0.0, 3.0)).validate()
+    assert all(type(getattr(cfg, name)) is int for name in counts if name != "shift_zones")
+    want = replace(config_from_dict(MINIMAL), **{k: v if k == "shift_zones" else int(v) for k, v in counts.items()},
+                   sensors=(0, 5, 17), snapshot_steps=(0, 3)).validate()
+    got = run_scheme(cfg, run_truth(cfg))
+    assert np.array_equal(got.percent_mae, run_scheme(want, run_truth(want)).percent_mae)
 
 
 ZONE = MINIMAL["soil"]["zones"][0]

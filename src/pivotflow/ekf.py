@@ -40,14 +40,14 @@ from .richards import _sensor_nodes
 
 SCHEMES = ("performance", "static", "time-triggered")
 
-# Steps filtered ahead under one model whose e_L windows then run as one batch.
-# With lock-step windows a block of W windows makes n_fd full calls of W rows,
-# so a wider block spreads each call's fixed cost over more rows; with two CPUs
-# a helper process takes the later half of the windows, so each process makes
-# n_fd calls of about W/2 rows and holds only its half of the trajectories.
-# On the benchmark's desk-shift workload with the split, 32 ran as fast as 64
-# and the estimating process held 6 % less memory (BENCH_two_core_el.json,
-# lookahead_sweep).
+# Steps filtered ahead, re-identifying at every scheduled trigger on the way,
+# whose e_L windows then run as one batch, each under its own step's model.
+# With lock-step windows each chunk of a block's windows makes n_fd full calls,
+# so a wider block spreads each call's fixed cost over more rows; where the
+# later half's work pays for a fork, a helper process takes it, and each
+# process makes its calls of about W/2 rows. On the benchmark's desk-shift
+# workload with the split, 32 ran as fast as 64 and the estimating process held
+# 6 % less memory (BENCH_two_core_el.json, lookahead_sweep).
 _LOOKAHEAD = 32
 
 
@@ -319,14 +319,17 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
     only used to record the per-step estimation error and the snapshot truth
     rows.
 
-    The steps run in blocks of up to ``_LOOKAHEAD``. A block filters ahead
-    under the model of its first step, stopping before a step whose trigger
-    fires on schedule; evaluates the e_L windows of its steps in one
+    The steps run in blocks of up to ``_LOOKAHEAD``. A block filters ahead,
+    performing every trigger it knows in advance: the first step's, and each
+    scheduled one (time-triggered) inside the block, which re-identifies from
+    the previous step's estimate and transfers the filter, so each step keeps
+    its own model. It then evaluates the e_L windows of its steps in one
     ``compute_error_metric`` call, which advances them in lock step, each on
-    its own inputs; then walks its steps in order, recording e_L and testing
-    the next step's trigger. Where the performance trigger fires, the rest of the
-    block is discarded and the next block opens at that step, so every
-    result equals a one-step-at-a-time run.
+    its own inputs and under its own step's model; then walks its steps in
+    order, recording e_L and testing the next step's trigger. Only a trigger
+    that filtering ahead did not perform, a performance one, ends a block:
+    the rest of it is discarded and the next block opens at that step, so
+    every result equals a one-step-at-a-time run.
 
     Failures follow one rule. If filtering ahead or the e_L call raises a
     ``PivotflowError``, the block's steps run again one at a time, as with a
@@ -386,13 +389,11 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
         width = 1 if k < retry_end else _LOOKAHEAD
         block, spent = [], []  # (fired, state, x_hat) and seconds per step
         try:
-            # 1. filter ahead; the scheduled triggers (all but performance) are known in advance
-            # a block filters under one model: the one identified at its first step, if any
+            # 1. filter ahead, performing every trigger known in advance: a scheduled one (all
+            # schemes but performance) at any step of the block, the performance trigger at its first
             ahead, ahead_x = state, x_hat
             for s in range(k, min(k + width, n)):
-                if s > k and cfg.scheme != "performance" and _fires(cfg.scheme, s, trigger, cfg.period):
-                    break
-                fired = s == k and _fires(cfg.scheme, s, trigger, cfg.period)
+                fired = (s == k or cfg.scheme != "performance") and _fires(cfg.scheme, s, trigger, cfg.period)
                 if fired:
                     snapshots = generate_snapshots(
                         model, ahead_x, cfg.estimator_inputs_window(max(s - 1, 0), cfg.n_fd), cfg.delta_s,
@@ -414,13 +415,13 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
                 spent.append(now - clock)
                 clock = now
 
-            # 2. the e_L windows of the block, advanced in lock step, each on its own inputs
+            # 2. the e_L windows of the block, advanced in lock step, each on its own inputs and model
             offsets = [i for i, (fired, *_) in enumerate(block)
                        if fired or cfg.stride <= 1 or (k + i) % cfg.stride == 0]
             gaps = {}
             if offsets:
                 gaps = dict(zip(offsets, compute_error_metric(
-                    ahead.model, np.stack([block[i][2] for i in offsets]),
+                    [block[i][1].model for i in offsets], np.stack([block[i][2] for i in offsets]),
                     cfg.estimator_inputs_window(k, offsets[-1] + cfg.n_fd), cfg.delta_s,
                     offsets=offsets,
                 ).tolist()))
@@ -435,11 +436,11 @@ def run_adaptive_estimation(cfg, measurements, truth=None) -> EstimationTrace:
             retry_end = k + width
             continue
 
-        # 3. walk the block; a performance trigger inside it discards the rest
+        # 3. walk the block; a trigger that filtering ahead did not perform (a performance one) discards the rest
         walked = 0
         for i, (fired, ahead, ahead_x) in enumerate(block):
             s = k + i
-            if i > 0 and _fires(cfg.scheme, s, trigger, cfg.period):
+            if i > 0 and not fired and _fires(cfg.scheme, s, trigger, cfg.period):
                 break
             state, x_hat = ahead, ahead_x
             e_l = gaps.get(i, e_l)

@@ -21,6 +21,11 @@ def _integral(values) -> bool:
     return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.all(np.isfinite(a) & (a == np.floor(a)))))
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is one integer: a scalar that ``_integral`` accepts, not a sequence of them."""
+    return np.ndim(value) == 0 and _integral(value)
+
+
 @dataclass(frozen=True)
 class CylindricalGrid:
     n_r: int
@@ -32,7 +37,7 @@ class CylindricalGrid:
     def __post_init__(self):
         for name in ("n_r", "n_theta", "n_z"):
             count = getattr(self, name)
-            if not (_integral(count) and count >= 1):
+            if not (_integer(count) and count >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1")
             object.__setattr__(self, name, int(count))
         for name in ("radius", "depth"):

@@ -17,9 +17,7 @@ not with the grid.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -423,47 +421,88 @@ class ReducedModel:
             return _euler(state, rates, full.substeps, sub, "reduced state", weight=col_weight).reshape(xi.shape)
 
 
-def compute_error_metric(reduced: ReducedModel, x_hat_full, inputs, dt: float, offsets) -> np.ndarray:
+# The helper forks only when its half of a call's full-model work (windows x horizon x nodes x sub-steps)
+# reaches this many node-substeps: below it, the fork's fixed cost and the copy-on-write faults it leaves
+# on the steps after it outweigh the half it takes (measured break-even: README, "Notes on scale").
+_FORK_WORK = 1_200_000
+# Full-model entries (rows x nodes) per chunk of windows: a wider call's sub-step arrays outgrow a 4 MB
+# L2, and each row then costs more, not less (ROADMAP item 14).
+_CHUNK_ENTRIES = 24_000
+
+
+def compute_error_metric(reduced, x_hat_full, inputs, dt: float, offsets) -> np.ndarray:
     """Mean-per-node cumulative absolute gap between reduced and full open-loop runs, per window.
 
     Both models run open loop from the (W, n) full-grid starts ``x_hat_full``
-    over the windows of ``offsets``, as in ``rollout``, the full model first:
-    if both runs diverge, the full run's error is raised. W gaps are returned.
+    over the windows of ``offsets``, as in ``rollout``. ``reduced`` is one
+    ``ReducedModel`` or a sequence of W, one per window, all over one
+    ``full`` model (else ``ValidationError``). W gaps are returned.
 
-    With two or more windows and at least two CPUs, a one-worker
+    The windows run in chunks of ``max(1, _CHUNK_ENTRIES // n)``; a chunk
+    makes one lock-step full rollout, then one reduced rollout per distinct
+    model. A window's full run precedes its reduced run, so if both diverge
+    the full run's error is raised.
+
+    With two or more windows, at least two CPUs and a later half whose
+    full-model work reaches ``_FORK_WORK``, a one-worker
     ``ProcessPoolExecutor`` on the ``fork`` context runs the later half of
     the windows while this process runs the earlier half. Rows equal their
-    one-row runs bit for bit, so the joined gaps do not depend on the split.
-    The executor's worker and threads are joined before the call returns or
-    raises. A helper's exception, such as a ``PivotflowError``, is raised
-    here with its type and message; a helper that exits without a result
-    raises ``ChildProcessError``. Without a process to spare, every window runs here.
+    one-row runs bit for bit, so the gaps depend neither on the split nor on
+    the chunks. The executor's worker and threads are joined before the call
+    returns or raises. A helper's exception, such as a ``PivotflowError``, is
+    raised here with its type and message; a helper that exits without a
+    result raises ``ChildProcessError``. Without a process to spare, every
+    window runs here.
     """
     starts, ticks, horizon = _windows(x_hat_full, inputs, offsets)
-    if ticks.size < 2 or not hasattr(os, "fork") or _cpus() < 2:
-        return _window_gaps(reduced, starts, inputs, ticks, dt)
-
+    models = [reduced] * ticks.size if isinstance(reduced, ReducedModel) else list(reduced)
+    if len(models) != ticks.size:
+        raise DimensionMismatch(f"{len(models)} reduced models for {ticks.size} windows")
+    full = models[0].full
+    if any(model.full is not full for model in models):
+        raise ValidationError("the windows' reduced models must share one full model")
     half = ticks.size // 2
+    work = (ticks.size - half) * horizon * full.n_states * full.substeps
+    if ticks.size < 2 or work < _FORK_WORK or not hasattr(os, "fork") or _cpus() < 2:
+        return _window_gaps(models, starts, inputs, ticks, dt)
+
+    # imported here, by the first call that forks
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as helper:
         try:
-            tail = helper.submit(_window_gaps, reduced, starts[half:], inputs, ticks[half:], dt)
+            tail = helper.submit(_window_gaps, models[half:], starts[half:], inputs, ticks[half:], dt)
         except OSError:  # no process to spare: run every window here
-            return _window_gaps(reduced, starts, inputs, ticks, dt)
+            return _window_gaps(models, starts, inputs, ticks, dt)
         # the earlier half's inputs end where the later half's do: every window keeps the horizon
-        head = _window_gaps(reduced, starts[:half], inputs[:ticks[half - 1] + horizon], ticks[:half], dt)
+        head = _window_gaps(models[:half], starts[:half], inputs[:ticks[half - 1] + horizon], ticks[:half], dt)
         try:
             return np.concatenate([head, tail.result()])
         except BrokenExecutor as exc:
             raise ChildProcessError("e_L helper process exited without a result") from exc
 
 
-def _window_gaps(reduced: ReducedModel, starts: np.ndarray, inputs, ticks: np.ndarray, dt: float) -> np.ndarray:
-    """The e_L gaps of the windows at ``ticks``: a full ``rollout`` and a reduced one from the projected starts."""
-    clustering, n = reduced.clustering, reduced.full.n_states
-    full = rollout(reduced.full, starts, inputs, dt, ticks)
-    red = rollout(reduced, reduce_state(clustering, starts), inputs, dt, ticks)
-    # one contiguous (horizon, n) gap array per window keeps the summation order
-    return np.array([np.abs(lift_state(clustering, r)[1:] - f[1:]).sum() / n for f, r in zip(full, red)])
+def _window_gaps(models, starts: np.ndarray, inputs, ticks: np.ndarray, dt: float) -> np.ndarray:
+    """The e_L gaps of the windows at ``ticks``, window w under ``models[w]``, chunk by chunk."""
+    n, horizon = starts.shape[1], len(inputs) - int(ticks[-1])
+    size = max(1, _CHUNK_ENTRIES // n)
+    gaps = np.empty(ticks.size)
+    for lo in range(0, ticks.size, size):
+        chunk = np.arange(lo, min(lo + size, ticks.size))
+        # each run's inputs end where its last window's do, so every window keeps the horizon
+        full = rollout(models[lo].full, starts[chunk], inputs[:ticks[chunk[-1]] + horizon], dt, ticks[chunk])
+        by_model = {}
+        for w in chunk:
+            by_model.setdefault(id(models[w]), []).append(w)
+        for rows in by_model.values():
+            model = models[rows[0]]
+            red = rollout(model, reduce_state(model.clustering, starts[rows]), inputs[:ticks[rows[-1]] + horizon],
+                          dt, ticks[rows])
+            # one contiguous (horizon, n) gap array per window keeps the summation order
+            for w, r in zip(rows, red):
+                gaps[w] = np.abs(lift_state(model.clustering, r)[1:] - full[w - lo, 1:]).sum() / n
+    return gaps
 
 
 def _cpus() -> int:

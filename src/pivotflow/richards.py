@@ -23,7 +23,7 @@ from .errors import (
     UnstableStep,
     ValidationError,
 )
-from .grid import CylindricalGrid, _integral
+from .grid import CylindricalGrid, _integer, _integral
 from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
@@ -44,7 +44,7 @@ class SurfaceInput:
             raise ValidationError("u must be a 1-D array of per-ring rates")
         if self.u.size and not 0 <= self.u.min() <= self.u.max() < np.inf:
             raise ValidationError("u must be finite and nonnegative")
-        if not _integral(self.active_sector):
+        if not _integer(self.active_sector):
             raise ValidationError("active_sector must be an integer")
         object.__setattr__(self, "active_sector", int(self.active_sector))
 
@@ -303,7 +303,7 @@ class FullModel:
     def __post_init__(self):
         if self.bottom_bc not in BOTTOM_CONDITIONS:
             raise ValidationError(f"bottom_bc must be one of {BOTTOM_CONDITIONS}")
-        if not (_integral(self.substeps) and self.substeps >= 1):
+        if not (_integer(self.substeps) and self.substeps >= 1):
             raise ValidationError("substeps must be an integer >= 1")
         object.__setattr__(self, "substeps", int(self.substeps))
         if not 0 < self.storativity < np.inf:

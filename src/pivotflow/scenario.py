@@ -13,11 +13,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .ekf import SCHEMES, NoiseConfig
 from .errors import ParseError, ValidationError
-from .grid import CylindricalGrid, _integral
+from .grid import CylindricalGrid, _integer, _integral
 from .richards import (
     MAX_HEAD,
     FullModel,
@@ -84,7 +83,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is None and key == "truth_shift.step":
                 continue
-            if not (_integral(value) and value >= least):
+            if not (_integer(value) and value >= least):
                 raise ValidationError(f"{key} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))
         if not 0 < self.delta_s < np.inf:
@@ -354,6 +353,8 @@ def load_config(path) -> ScenarioConfig:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    import yaml  # imported here: a config built in code needs no parser
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -377,6 +377,16 @@ class TestReconstructAndTransfer:
 
 
 class TestErrorMetric:
+    @staticmethod
+    def _count_rows(monkeypatch):
+        """Patch both steppers to record the rows of each call; returns the full and reduced records."""
+        calls, reduced_calls = [], []
+        step, reduced_step = FullModel.step, ReducedModel.step
+        monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
+        monkeypatch.setattr(ReducedModel, "step",
+                            lambda self, x, *a: reduced_calls.append(len(x)) or reduced_step(self, x, *a))
+        return calls, reduced_calls
+
     def test_singleton_model_gives_zero(self, small_grid, loam):
         model = FullModel(small_grid, loam, substeps=4)
         singletons = Clustering.singletons(small_grid.n_nodes)
@@ -448,11 +458,7 @@ class TestErrorMetric:
 
         # one process, so the counting patches see every row
         monkeypatch.setattr(reduction, "_cpus", lambda: 1)
-        calls, reduced_calls = [], []
-        step, reduced_step = FullModel.step, ReducedModel.step
-        monkeypatch.setattr(FullModel, "step", lambda self, x, *a: calls.append(len(x)) or step(self, x, *a))
-        monkeypatch.setattr(ReducedModel, "step",
-                            lambda self, x, *a: reduced_calls.append(len(x)) or reduced_step(self, x, *a))
+        calls, reduced_calls = self._count_rows(monkeypatch)
         gaps = compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
         assert gaps.tolist() == singles
         assert calls == reduced_calls == [len(offsets)] * horizon
@@ -502,6 +508,59 @@ class TestErrorMetric:
         with pytest.raises(ValidationError):
             compute_error_metric(reduced, np.full(small_model.n_states, -5.0), [], 900.0, offsets=[0])
 
+    @staticmethod
+    def _mixed_windows(loam, n_windows=5):
+        """A full model, two reductions of it, and (starts, inputs, offsets, horizon) for ``n_windows`` windows."""
+        from pivotflow import RootUptake
+
+        grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
+        model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
+        reductions = [ReducedModel(model, Clustering(np.arange(grid.n_nodes) % r, r)) for r in (9, 5)]
+        rng = np.random.default_rng(11)
+        offsets, horizon = sorted(rng.integers(0, 8, n_windows).tolist()), 4
+        starts = rng.uniform(-12.0, -3.0, (n_windows, grid.n_nodes))
+        inputs = [(SurfaceInput(np.full(grid.n_r, 1e-7 * (t % 3)), t), StepForcing(et=2e-8, k_c=0.5, rain=1e-9 * t))
+                  for t in range(offsets[-1] + horizon)]
+        return model, reductions, (starts, inputs, offsets, horizon)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_per_window_models_equal_per_model_calls(self, loam, cpus, monkeypatch):
+        # Windows under two models: one full rollout of every row, then one
+        # reduced rollout per model, each window's gap as in its own call.
+        _, (a, b), (starts, inputs, offsets, horizon) = self._mixed_windows(loam)
+        models = [a, b, a, a, b]
+        singles = np.array([compute_error_metric(m, x0, inputs[o:o + horizon], 900.0, offsets=[0])[0]
+                            for m, o, x0 in zip(models, offsets, starts)])
+        monkeypatch.setattr(reduction, "_cpus", lambda: cpus)
+        monkeypatch.setattr(reduction, "_FORK_WORK", 0)  # the second leg splits the windows 2 + 3
+        calls, reduced_calls = self._count_rows(monkeypatch)
+        gaps = compute_error_metric(models, starts, inputs, 900.0, offsets=offsets)
+        assert gaps.tobytes() == singles.tobytes()
+        if cpus == 1:
+            assert calls == [5] * horizon
+            assert reduced_calls == [3] * horizon + [2] * horizon
+
+    def test_models_must_share_one_full_model_and_number_the_windows(self, loam):
+        model, (a, b), (starts, inputs, offsets, _) = self._mixed_windows(loam, 2)
+        twin = ReducedModel(FullModel(model.grid, loam, roots=model.roots, substeps=4), b.clustering)
+        with pytest.raises(ValidationError, match="share one full model"):
+            compute_error_metric([a, twin], starts, inputs, 900.0, offsets=offsets)
+        with pytest.raises(DimensionMismatch, match="3 reduced models for 2 windows"):
+            compute_error_metric([a, b, a], starts, inputs, 900.0, offsets=offsets)
+
+    @pytest.mark.parametrize("per_chunk, sizes", [(1, [1] * 5), (2, [2, 2, 1])], ids=["1", "2"])
+    def test_chunked_gaps_equal_one_chunk_gaps(self, loam, per_chunk, sizes, monkeypatch):
+        # A chunk runs its full rollout and its reduced ones before the next
+        # chunk starts; rows are independent, so the gaps keep every bit.
+        model, (a, b), (starts, inputs, offsets, horizon) = self._mixed_windows(loam)
+        models = [a, b, b, a, b]
+        monkeypatch.setattr(reduction, "_cpus", lambda: 1)
+        whole = compute_error_metric(models, starts, inputs, 900.0, offsets=offsets)
+        monkeypatch.setattr(reduction, "_CHUNK_ENTRIES", per_chunk * model.n_states + model.n_states // 2)
+        calls, _ = self._count_rows(monkeypatch)
+        assert compute_error_metric(models, starts, inputs, 900.0, offsets=offsets).tobytes() == whole.tobytes()
+        assert calls == [c for c in sizes for _ in range(horizon)]
+
 
 class TestErrorMetricHelper:
     """A forked helper process runs the later half of an e_L call's windows."""
@@ -510,10 +569,15 @@ class TestErrorMetricHelper:
 
     @pytest.fixture()
     def windows(self, loam, monkeypatch):
-        """A reduced model, and a maker of (starts, inputs, offsets) for W windows; two CPUs assumed."""
+        """A reduced model, and a maker of (starts, inputs, offsets) for W windows; two CPUs assumed.
+
+        The grid is far too small for a fork to pay, so the fork threshold is
+        lowered to let every call of two or more windows split.
+        """
         from pivotflow import CylindricalGrid, RootUptake
 
         monkeypatch.setattr(reduction, "_cpus", lambda: 2)
+        monkeypatch.setattr(reduction, "_FORK_WORK", 0)
         grid = CylindricalGrid(4, 6, 3, radius=2.0, depth=0.3)
         model = FullModel(grid, loam, roots=RootUptake(root_depth=0.2, h_wilting=-16.0), substeps=4)
         reduced = ReducedModel(model, Clustering(np.arange(grid.n_nodes) % 9, 9))
@@ -556,6 +620,20 @@ class TestErrorMetricHelper:
         assert gaps.tobytes() == singles.tobytes()
         assert forks == [1]
         assert rows == [n_windows // 2] * horizon
+        assert reap_leftover_child() is None
+
+    @pytest.mark.parametrize("above, n_forks", [(0, 1), (1, 0)], ids=["at-threshold", "below-threshold"])
+    def test_forks_only_when_the_later_half_reaches_the_threshold(self, windows, above, n_forks, monkeypatch):
+        reduced, make = windows
+        starts, inputs, offsets = make(5)
+        horizon, full = len(inputs) - offsets[-1], reduced.full
+        want = compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets)
+        # the helper would take windows [2:]: 3 windows of `horizon` ticks of every node's sub-steps
+        monkeypatch.setattr(reduction, "_FORK_WORK", 3 * horizon * full.n_states * full.substeps + above)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert compute_error_metric(reduced, starts, inputs, 900.0, offsets=offsets).tobytes() == want.tobytes()
+        assert forks == [1] * n_forks
         assert reap_leftover_child() is None
 
     @pytest.mark.parametrize("half", ["helper", "parent"])

@@ -67,9 +67,11 @@ def test_invalid_dimensions_rejected():
 
 @pytest.mark.parametrize("name, counts", [
     ("n_r", (2.5, 4, 3)), ("n_theta", (4, np.nan, 3)), ("n_z", (4, 4, np.inf)), ("n_z", (4, 4, 0.0)),
-], ids=["fractional", "nan", "inf", "zero"])
+    ("n_r", ([2, 3], 4, 4)),
+], ids=["fractional", "nan", "inf", "zero", "sequence"])
 def test_count_must_be_an_integer(name, counts):
-    # a fractional count once built a grid whose first step raised a bare TypeError
+    # a fractional count once built a grid whose first step raised a bare TypeError, and a sequence
+    # raised one at once
     with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1$"):
         CylindricalGrid(*counts, radius=1.0, depth=0.4)
 

@@ -381,14 +381,13 @@ def test_block_split_matches_one_block_linkage(case):
     assert np.array_equal(c.assignment, one_block_average_linkage(data, th_c))
 
 
-def loaded_scipy_modules(code: str) -> str:
-    """Which of scipy.cluster, scipy.spatial and scipy.sparse are loaded after ``code`` runs in a fresh interpreter."""
+def loaded_modules(code: str, modules=("scipy.cluster", "scipy.spatial", "scipy.sparse")) -> str:
+    """Which of ``modules`` are loaded after ``code`` runs in a fresh interpreter."""
     import pivotflow
 
     src = str(Path(pivotflow.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code += ("; import sys; "
-             "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))")
+    code += f"; import sys; print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 
@@ -397,7 +396,13 @@ def test_import_leaves_scipy_cluster_unloaded():
     # call that links a block, not by `import pivotflow`, which they would
     # slow by about 0.34 s; scipy.sparse, which they load, is needed by
     # nothing else, as U is applied by index
-    assert loaded_scipy_modules("import pivotflow") == "[]"
+    assert loaded_modules("import pivotflow") == "[]"
+
+
+def test_import_leaves_yaml_and_multiprocessing_unloaded():
+    # yaml is imported by the first scenario file read, and multiprocessing by
+    # the first e_L call that forks its helper, not by `import pivotflow`
+    assert loaded_modules("import pivotflow", ("yaml", "multiprocessing")) == "[]"
 
 
 def test_clustering_tight_groups_leaves_scipy_cluster_unloaded():
@@ -406,7 +411,7 @@ def test_clustering_tight_groups_leaves_scipy_cluster_unloaded():
             "data = np.repeat([0.0, 0.001, 5.0, 5.001], 3).reshape(4, 3).T; "
             "c = pivotflow.cluster_trajectories(pivotflow.SnapshotMatrix(data), 1.0); "
             "assert c.assignment.tolist() == [0, 0, 1, 1], c")
-    assert loaded_scipy_modules(code) == "[]"
+    assert loaded_modules(code) == "[]"
 
 
 class TestProjection:

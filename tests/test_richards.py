@@ -504,15 +504,15 @@ class TestInputValidation:
         with pytest.raises(ValidationError, match=f"{name} must be"):
             StepForcing(**{name: bad})
 
-    @pytest.mark.parametrize("bad", [2.5, np.nan, 0, 0.0, "2"])
+    @pytest.mark.parametrize("bad", [2.5, np.nan, 0, 0.0, "2", [2]])
     def test_substeps_must_be_an_integer(self, small_grid, loam, bad):
-        # 2.5 constructed, and the first step raised a bare TypeError
+        # 2.5 constructed, and the first step raised a bare TypeError; [2] raised one at once
         with pytest.raises(ValidationError, match=r"^substeps must be an integer >= 1$"):
             FullModel(small_grid, loam, substeps=bad)
 
-    @pytest.mark.parametrize("bad", [1.5, np.nan, "1"])
+    @pytest.mark.parametrize("bad", [1.5, np.nan, "1", [1]])
     def test_active_sector_must_be_an_integer(self, bad):
-        # 1.5 constructed, and a step raised a bare IndexError
+        # 1.5 constructed, and a step raised a bare IndexError; [1] raised a bare TypeError at once
         with pytest.raises(ValidationError, match=r"^active_sector must be an integer$"):
             SurfaceInput(np.zeros(4), active_sector=bad)
 

@@ -341,7 +341,9 @@ class TestLookahead:
 
         monkeypatch.setattr(FullModel, "step", counted)
         runs = []
-        # the counting legs run in one process, so the patch sees every row; the last leg splits e_L
+        # the counting legs run in one process, so the patch sees every row; the last leg splits e_L,
+        # with the fork threshold lowered, as the tiny grid never reaches it
+        monkeypatch.setattr(reduction, "_FORK_WORK", 0)
         for lookahead, cpus in ((1, 1), (ekf._LOOKAHEAD, 1), (ekf._LOOKAHEAD, 2)):
             monkeypatch.setattr(reduction, "_cpus", lambda: cpus)
             rows.append(0)
@@ -353,7 +355,21 @@ class TestLookahead:
             assert any(k % ekf._LOOKAHEAD for k, _, _ in runs[0].model_changes[1:])
             assert rows[1] > rows[0]
         else:
-            assert rows[1] == rows[0]  # scheduled triggers end a block, so nothing is discarded
+            assert rows[1] == rows[0]  # filtering ahead performs the scheduled triggers, so nothing is discarded
+
+    def test_scheduled_triggers_inside_a_block_share_its_error_metric_call(self, monkeypatch):
+        # Filtering ahead re-identifies at steps 5, 10, 15 and 20, so the one
+        # block of 24 steps makes one e_L call, each window under its step's model.
+        cfg = config_from_dict(dict(TINY, steps=24, scheme="time-triggered", trigger_period=5))
+        calls = []
+        metric = ekf.compute_error_metric
+        monkeypatch.setattr(ekf, "compute_error_metric",
+                            lambda models, *a, **kw: calls.append(models) or metric(models, *a, **kw))
+        trace = run_adaptive_estimation(cfg, run_truth(cfg).measurements)
+        assert [c[0] for c in trace.model_changes] == [0, 5, 10, 15, 20]
+        assert len(calls) == 1 and len(calls[0]) == 24
+        first = {}
+        assert [first.setdefault(id(m), len(first) + 1) for m in calls[0]] == trace.model_index.tolist()
 
     @pytest.mark.parametrize("stride, failing", [(1, 5), (2, 5)])
     def test_error_names_the_same_step(self, stride, failing, monkeypatch):

@@ -71,17 +71,18 @@ def test_sensor_bounds_checked():
     ("truth_shift.step", {"shift_step": 4.5, "shift_zones": MINIMAL_ZONES}),
     ("n_fd", {"n_fd": 2.5}), ("steps", {"steps": 6.5}), ("substeps", {"substeps": 2.5}), ("seed", {"seed": 1.5}),
     ("irrigation.start_sector", {"irrigation_start_sector": 1.5}), ("n_fd", {"n_fd": np.nan}),
-    ("seed", {"seed": "1"}),
+    ("seed", {"seed": "1"}), ("steps", {"steps": (12, 13)}), ("seed", {"seed": [1]}),
 ], ids=["fractional-sensor", "nan-sensor", "fractional-snapshot", "fractional-trigger-period", "fractional-stride",
         "fractional-shift-step", "fractional-n-fd", "fractional-steps", "fractional-substeps", "fractional-seed",
-        "fractional-start-sector", "nan-n-fd", "string-seed"])
+        "fractional-start-sector", "nan-n-fd", "string-seed", "sequence-steps", "sequence-seed"])
 def test_validate_rejects_a_fractional_index_naming_the_key(key, change):
     # A config built in code skips the loader's integer cast: validate once
     # truncated 1.5 to sensor node 1, raised a bare ValueError on NaN, and
     # let snapshot step 0.5 through, which was then never written. A
     # fractional trigger period, stride or shift step ran on a period or a
     # step of its own; n_fd, steps, substeps and seed raised a bare TypeError
-    # once run, and the start sector a bare IndexError.
+    # once run, and the start sector a bare IndexError. A sequence passed the
+    # integer test and raised a bare TypeError in validate itself.
     cfg = config_from_dict(MINIMAL)
     with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be (an )?integer"):
         replace(cfg, **change).validate()

@@ -12,7 +12,11 @@ number prints the same lines. Cases:
 - each on seven grids (n_r, n_theta and n_z of 1 included, one and four
   soils), both bottom conditions, with and without roots;
 - every CSV except ``timings.csv`` that ``pivotflow compare configs/desk.yaml``
-  writes.
+  writes;
+- ``metrics.csv`` and ``model_changes.csv`` of a time-triggered run on the
+  desk field, 40 steps re-identified every 8 with e_L every 8 steps: its
+  period is shorter than the estimator's look-ahead, so scheduled
+  re-identifications fall inside a look-ahead block.
 
 Runs from the root of a checkout and imports pivotflow from its ``src/``.
 """
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -36,6 +41,8 @@ from pivotflow.cli import main  # noqa: E402
 from pivotflow.grid import CylindricalGrid  # noqa: E402
 from pivotflow.reduction import Clustering, ReducedModel, reduce_state  # noqa: E402
 from pivotflow.richards import FullModel, RootUptake, StepForcing, SurfaceInput, WaterBudget  # noqa: E402
+from pivotflow.runner import export_artifacts, run_scheme, run_truth  # noqa: E402
+from pivotflow.scenario import config_from_dict  # noqa: E402
 from pivotflow.soil import VanGenuchtenParams  # noqa: E402
 
 ZONES = [
@@ -126,6 +133,16 @@ def compare_cases():
         return [(f"compare-desk/{p.relative_to(out)}", p.read_bytes()) for p in files]
 
 
+def scheduled_cases():
+    data = yaml.safe_load((ROOT / "configs" / "desk.yaml").read_text())
+    data.update(steps=40, scheme="time-triggered", trigger_period=8, stride=8, snapshot_steps=[0, 39])
+    cfg = config_from_dict(data)
+    with tempfile.TemporaryDirectory() as out:
+        export_artifacts(run_scheme(cfg, run_truth(cfg)), out)
+        return [(f"desk-period-8/{name}", (Path(out) / name).read_bytes())
+                for name in ("metrics.csv", "model_changes.csv")]
+
+
 if __name__ == "__main__":
-    for case, data in [*model_cases(), *compare_cases()]:
+    for case, data in [*model_cases(), *compare_cases(), *scheduled_cases()]:
         print(case, sha(data))

@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState, ValidationError
 from .grid import _integral
-from .richards import (FullModel, _euler, _rows_of, _stencil, _surface_flux, _uptake_scale, root_weight,
-                       stress_factor)
-from .soil import VanGenuchtenParams, _capacity, _conductivity, _suction_logs
+from .richards import FullModel, _euler, _node_terms, _rows_of, _stencil, _surface_flux, _uptake_scale, root_weight
+from .soil import VanGenuchtenParams
 
 
 @dataclass(frozen=True)
@@ -229,11 +228,12 @@ def reduce_state(clustering: Clustering, x) -> np.ndarray:
 
 
 def lift_state(clustering: Clustering, xi) -> np.ndarray:
-    """x_tilde = U xi of one reduced state (r,) or of each row of a batch (B, r).
+    """x_tilde = U xi of one reduced state (r,) or of each row of a batch (B, r), C-ordered.
 
     Each row of a batch equals the single-state result bit for bit.
     """
-    return (_rows_of(xi, clustering.n_clusters, "reduced state") * clustering.weights)[..., clustering.assignment]
+    weighted = _rows_of(xi, clustering.n_clusters, "reduced state") * clustering.weights
+    return np.take(weighted, clustering.assignment, axis=-1)
 
 
 class _CoarseGraph(NamedTuple):
@@ -381,9 +381,8 @@ class ReducedModel:
         inflow = np.bincount((offset + graph.surface).ravel(),
                              weights=(_surface_flux(surface, forcing, grid, rows) / grid.dz).ravel(),
                              minlength=size)
-        sink = None if full.roots is None else _uptake_scale(graph.roots, forcing)
-        if sink is not None:
-            sink = np.broadcast_to(sink, (rows, n_groups)).ravel()
+        scale = None if full.roots is None else _uptake_scale(graph.roots, forcing)
+        scale = scale if scale is None else np.broadcast_to(scale, (rows, n_groups)).ravel()
         to_group = (offset + graph.src).ravel()
         ends = np.stack([to_group, (offset + graph.dst).ravel()])  # both ends of every pair
         to_cluster = (np.arange(rows)[:, None] * order + graph.cluster).ravel()
@@ -391,7 +390,7 @@ class ReducedModel:
         weight, drain, soil = graph.weight[per_group], graph.drain[per_group], graph.soil._pick(per_group)
         diffusive, gravity = graph.diffusive[per_pair], graph.gravity[per_pair]
         col_weight = graph.col_weight[np.arange(state.size) % order]
-        h, k, c, rate, beta, *logs = (np.empty(size) for _ in range(8))
+        h, k, c, rate, sink, *logs = (np.empty(size) for _ in range(8))
         pair_k, pair_h = np.empty((2,) + ends.shape)
         (k_src, k_dst), (h_src, h_dst) = pair_k, pair_h
 
@@ -399,9 +398,7 @@ class ReducedModel:
             nonlocal h, rate
             state.take(to_cluster, out=h, mode="clip")
             h *= weight
-            _suction_logs(h, soil, logs)
-            _conductivity(logs, soil, k)
-            np.maximum(_capacity(logs, soil, c), full.storativity, out=c)
+            _node_terms(full, soil, h, scale, logs, k, c, sink)
             k.take(ends, out=pair_k, mode="clip")
             h.take(ends, out=pair_h, mode="clip")
             flow = np.add(k_src, k_dst, out=k_src)
@@ -411,14 +408,12 @@ class ReducedModel:
             flow *= head
             np.subtract(inflow, np.multiply(k, drain, out=rate), out=rate)
             rate += np.bincount(to_group, weights=flow, minlength=size)
-            if sink is not None:
-                rate += np.multiply(stress_factor(h, full.roots, out=beta), sink, out=beta)
+            rate += sink
             rate /= c
             rate *= weight
             return np.bincount(to_cluster, weights=rate, minlength=state.size)
 
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _euler(state, rates, full.substeps, sub, "reduced state", weight=col_weight).reshape(xi.shape)
+        return _euler(state, rates, full.substeps, sub, "reduced state", weight=col_weight).reshape(xi.shape)
 
 
 # The helper forks only when its half of a call's full-model work (windows x horizon x nodes x sub-steps)
@@ -499,9 +494,10 @@ def _window_gaps(models, starts: np.ndarray, inputs, ticks: np.ndarray, dt: floa
             model = models[rows[0]]
             red = rollout(model, reduce_state(model.clustering, starts[rows]), inputs[:ticks[rows[-1]] + horizon],
                           dt, ticks[rows])
-            # one contiguous (horizon, n) gap array per window keeps the summation order
+            # each gap is written in place into the window's C-ordered full run, which keeps the summation order
             for w, r in zip(rows, red):
-                gaps[w] = np.abs(lift_state(model.clustering, r)[1:] - full[w - lo, 1:]).sum() / n
+                gap = full[w - lo, 1:]
+                gaps[w] = np.abs(np.subtract(gap, lift_state(model.clustering, r[1:]), out=gap), out=gap).sum() / n
     return gaps
 
 

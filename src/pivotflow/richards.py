@@ -200,6 +200,18 @@ def sink_term(x, roots: RootUptake, scale, out=None):
     return s
 
 
+def _node_terms(model, soil, h, scale, logs, k, c, sink):
+    """Both steppers' per-node physics at heads ``h``: suction logs, K, C floored at storativity, and the sink.
+
+    Writes them into ``logs``, ``k``, ``c`` and ``sink``; ``soil`` is ``model.soil`` or one entry per entry of ``h``.
+    Calls each closure by its name in this module, in the caller's errstate (``_euler``, ``FullModel.rhs``).
+    """
+    terms = suction_logs(h, soil, out=logs)
+    hydraulic_conductivity(h, soil, logs=terms, out=k)
+    np.maximum(capillary_capacity(h, soil, logs=terms, out=c), model.storativity, out=c)
+    sink_term(h, model.roots, scale, out=sink)
+
+
 def _per_row(value, kind, rows: int | None):
     """``value`` as a list with one entry per row, or None for a single ``kind`` shared by every row."""
     if isinstance(value, kind):
@@ -259,6 +271,8 @@ def _rows_of(x, size: int, what: str, finite: bool = False) -> np.ndarray:
 def observe(x, sensor_nodes, v=None) -> np.ndarray:
     """Measurement y = C x + v where C selects the sensor rows; v, if given, has one entry per sensor."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"state has shape {x.shape}, expected one state (n_nodes,)")
     s = _sensor_nodes(sensor_nodes, x.size)
     y = x[s].copy()
     if v is not None:
@@ -274,15 +288,16 @@ def _euler(state, rates, substeps: int, sub: float, what: str, weight=None, book
 
     The spent rate takes the heads, ``state`` or ``state * weight``; |h| > ``MAX_HEAD`` or NaN raises ``UnstableStep``.
     """
-    for _ in range(substeps):
-        rate = rates()
-        rate *= sub
-        state += rate
-        heads = state if weight is None else np.multiply(state, weight, out=rate)
-        if not np.abs(heads, out=rate).max() <= MAX_HEAD:
-            raise UnstableStep(f"{what} diverged after a sub-step of {sub:g} s; increase substeps")
-        if book is not None:
-            book()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(substeps):
+            rate = rates()
+            rate *= sub
+            state += rate
+            heads = state if weight is None else np.multiply(state, weight, out=rate)
+            if not np.abs(heads, out=rate).max() <= MAX_HEAD:
+                raise UnstableStep(f"{what} diverged after a sub-step of {sub:g} s; increase substeps")
+            if book is not None:
+                book()
     return state
 
 
@@ -333,11 +348,10 @@ class FullModel:
         reads: each ``rates()`` evaluates dh/dt at ``h``'s current values, and
         the next call overwrites all three arrays.
         """
-        grid, soil, roots, storativity = self.grid, self.soil, self.roots, self.storativity
+        grid = self.grid
         rows, (n_r, n_t, n_z) = h.shape[0], (grid.n_r, grid.n_theta, grid.n_z)
         width = n_t * n_z
-        logs = tuple(np.empty(h.shape) for _ in range(3))
-        k, c, rate, sink, face = (np.empty(h.shape) for _ in range(5))
+        k, c, rate, sink, face, *logs = (np.empty(h.shape) for _ in range(8))
         radial_lo, radial_hi, azimuthal = _stencil(grid)
         dz = grid.dz
         # the logs are spent once K and C are evaluated: their arrays serve as scratch
@@ -376,10 +390,7 @@ class FullModel:
             # An augmented assignment such as ``diff *= c`` would make a name
             # bound above local to this function, so each update is a ufunc
             # call with ``out=``.
-            terms = suction_logs(h, soil, out=logs)
-            hydraulic_conductivity(h, soil, logs=terms, out=k)
-            c_eff = capillary_capacity(h, soil, logs=terms, out=c)
-            np.maximum(c_eff, storativity, out=c_eff)
+            _node_terms(self, self.soil, h, scale, logs, k, c, sink)
 
             # vertical: d/dz [K (dh/dz + 1)]. ``top`` holds the downward-positive
             # flux through each cell's upper face over dz, (K_a + K_b) (dh /
@@ -429,9 +440,8 @@ class FullModel:
                 np.multiply(df2, azimuthal, out=df2)
                 np.add(ratef, df, out=ratef)
 
-            s = sink_term(h, roots, scale, out=sink)
-            np.add(rate, s, out=rate)
-            np.divide(rate, c_eff, out=rate)
+            np.add(rate, sink, out=rate)
+            np.divide(rate, c, out=rate)
             return rate
 
         return rates, bottom, sink
@@ -447,7 +457,8 @@ class FullModel:
         inflow = _surface_flux(surface, forcing, grid, h.shape[0]) / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
         rates, _, _ = self._rates(h, inflow, scale)
-        return rates().reshape(x.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return rates().reshape(x.shape)
 
     def step(self, x, surface, forcing, dt, budget=None):
         """Advance the state by dt with explicit Euler over fixed equal sub-steps.

@@ -103,12 +103,12 @@ class ScenarioConfig:
         for vals, name in ((self.initial_truth, "initial_truth"), (self.initial_guess, "initial_guess")):
             if len(vals) not in (1, 4):
                 raise ValidationError(f"{name} must have length 1 or 4 (per quadrant)")
-            if not np.all(np.abs(vals) <= MAX_HEAD):  # the steppers' divergence bound; NaN fails it too
+            if np.ndim(vals) != 1 or not np.all(np.abs(vals) <= MAX_HEAD):  # the steppers' bound; NaN fails it
                 raise ValidationError(f"{name} must be finite heads with |h| <= {MAX_HEAD:g} m")
         sensors = np.asarray(self.sensors)
         if sensors.size == 0:
             raise ValidationError("sensors must be a nonempty node list")
-        if not _integral(sensors):
+        if sensors.ndim != 1 or not _integral(sensors):
             raise ValidationError("sensors must be integer node indices")
         if sensors.min() < 0 or sensors.max() >= self.grid.n_nodes:
             raise ValidationError(f"sensors must lie within [0, {self.grid.n_nodes})")
@@ -122,7 +122,7 @@ class ScenarioConfig:
             if self.shift_step > self.steps:
                 raise ValidationError("truth_shift.step must lie within the run")
         self.truth_models()  # the models check substeps, storativity, bottom_bc and roots.root_depth
-        if not _integral(self.snapshot_steps):
+        if np.ndim(self.snapshot_steps) != 1 or not _integral(self.snapshot_steps):
             raise ValidationError("snapshot_steps must be integer step indices")
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:

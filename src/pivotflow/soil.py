@@ -4,7 +4,10 @@ All functions accept scalar or array pressure heads [m] and a
 ``VanGenuchtenParams`` whose fields are scalars (one soil) or per-node
 arrays (a field), so the same closures serve single-sample tests and
 vectorized grid evaluation. Saturated inputs (h >= 0) are clamped to the
-saturated values.
+saturated values. A closure that computes its own logs enters an
+``np.errstate`` for the log of 0 and extreme heads; one handed ``out``
+(``suction_logs``) or ``logs`` (K, C) runs in its caller's, as the steppers'
+``richards._node_terms`` does.
 """
 
 from __future__ import annotations
@@ -90,14 +93,8 @@ def suction_logs(h, p, out=None):
     h = np.asarray(h, dtype=float)
     if out is None:
         shape = np.broadcast_shapes(h.shape, np.shape(p.alpha))
-        out = (np.empty(shape), np.empty(shape), np.empty(shape))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _suction_logs(h, p, out)
-
-
-# The kernels enter no errstate: a caller that runs them every sub-step enters
-# one, ignoring divide, over and invalid, around all of its calls.
-def _suction_logs(h, p, out):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return suction_logs(h, p, (np.empty(shape), np.empty(shape), np.empty(shape)))
     log_ah, n_log, log_one_a = out
     np.multiply(h, p.neg_alpha, out=log_ah)
     np.maximum(log_ah, 0.0, out=log_ah)
@@ -125,11 +122,9 @@ def capillary_capacity(h, p, logs=None, out=None):
     c = (theta_s - theta_r) m n alpha exp((n - 1) L - (m + 1) lo) in the
     terms of ``suction_logs``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _capacity(suction_logs(h, p) if logs is None else logs, p, out)
-
-
-def _capacity(logs, p, out):
+    if logs is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return capillary_capacity(h, p, suction_logs(h, p), out)
     c = np.multiply(logs[0], p.n_minus_1, out=np.empty_like(logs[0]) if out is None else out)
     c += np.multiply(logs[2], p.neg_m_plus_1)
     np.exp(c, out=c)
@@ -144,11 +139,9 @@ def hydraulic_conductivity(h, p, logs=None, out=None):
     evaluated as K_s exp(-m lo/2) (1 - exp(m (nL - lo)))^2 in the terms of
     ``suction_logs``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _conductivity(suction_logs(h, p) if logs is None else logs, p, out)
-
-
-def _conductivity(logs, p, out):
+    if logs is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return hydraulic_conductivity(h, p, suction_logs(h, p), out)
     _, n_log, log_one_a = logs
     k = np.subtract(n_log, log_one_a, out=np.empty_like(n_log) if out is None else out)
     k *= p.m_vg

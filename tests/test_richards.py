@@ -376,11 +376,17 @@ class TestStep:
         assert not np.signbit(sinks[2]).any()
         assert np.all(sinks[[0, 1, 3]] <= 0.0) and np.any(sinks[[0, 1, 3]] < 0.0)
 
-    def test_closures_are_called_by_module_name_once_per_substep(self, small_grid, loam, monkeypatch):
+    @pytest.mark.parametrize("with_roots", [True, False], ids=["roots", "no-roots"])
+    @pytest.mark.parametrize("stepper", ["full", "coarse"])
+    def test_closures_are_called_by_module_name_once_per_substep(self, small_grid, loam, monkeypatch, stepper,
+                                                                 with_roots):
         # The benchmark's tracer counts these calls by patching their names in
-        # pivotflow.richards: a batched step calls each once per sub-step and
-        # rhs once, however many rows the batch holds.
+        # pivotflow.richards: a batched full or coarse step calls each once per
+        # sub-step and rhs once, however many rows the batch holds, and the
+        # sink once without roots too. Each call enters one np.errstate, not
+        # one per closure and sub-step.
         from pivotflow import richards
+        from pivotflow.reduction import Clustering, ReducedModel, reduce_state
 
         names = ("suction_logs", "hydraulic_conductivity", "capillary_capacity", "sink_term")
         calls = dict.fromkeys(names, 0)
@@ -389,13 +395,21 @@ class TestStep:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(richards, name, counted)
-        model = FullModel(small_grid, loam, roots=RootUptake(root_depth=0.2), substeps=5)
+        roots = RootUptake(root_depth=0.2) if with_roots else None
+        model = FullModel(small_grid, loam, roots=roots, substeps=5)
+        reduced = ReducedModel(model, Clustering(np.arange(small_grid.n_nodes) % 7, 7))
+        errstate, entered = np.errstate, []
+        monkeypatch.setattr(np, "errstate", lambda **kwargs: entered.append(kwargs) or errstate(**kwargs))
         states = np.full((3, small_grid.n_nodes), -6.0)
         forcing = StepForcing(et=2e-8, k_c=0.5)
-        model.step(states, idle_input(small_grid), forcing, 900.0)
-        assert calls == dict.fromkeys(names, 5)
-        model.rhs(states, idle_input(small_grid), forcing)
-        assert calls == dict.fromkeys(names, 6)
+        if stepper == "coarse":
+            reduced.step(reduce_state(reduced.clustering, states), idle_input(small_grid), forcing, 900.0)
+        else:
+            model.step(states, idle_input(small_grid), forcing, 900.0)
+        assert calls == dict.fromkeys(names, 5) and len(entered) == 1
+        if stepper == "full":
+            model.rhs(states, idle_input(small_grid), forcing)
+            assert calls == dict.fromkeys(names, 6) and len(entered) == 2
 
     def test_per_row_input_count_is_checked(self, small_model, small_grid):
         states = np.full((3, small_grid.n_nodes), -6.0)
@@ -562,6 +576,12 @@ class TestObserve:
         # 1.5 read node 1, and NaN raised a bare ValueError
         with pytest.raises(BadSensorIndex, match=message):
             observe(np.arange(4.0), sensors)
+
+    def test_state_must_be_one_vector(self):
+        # a (2, n) batch once returned two whole rows of n nodes each
+        x = np.arange(4.0)
+        with pytest.raises(DimensionMismatch, match=r"expected one state \(n_nodes,\)"):
+            observe(np.stack([x, x]), [0, 1])
 
     def test_integral_float_sensor_index_accepted(self):
         assert np.array_equal(observe(np.arange(4.0), [3.0, 1.0]), [3.0, 1.0])

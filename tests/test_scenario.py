@@ -72,9 +72,11 @@ def test_sensor_bounds_checked():
     ("n_fd", {"n_fd": 2.5}), ("steps", {"steps": 6.5}), ("substeps", {"substeps": 2.5}), ("seed", {"seed": 1.5}),
     ("irrigation.start_sector", {"irrigation_start_sector": 1.5}), ("n_fd", {"n_fd": np.nan}),
     ("seed", {"seed": "1"}), ("steps", {"steps": (12, 13)}), ("seed", {"seed": [1]}),
+    ("sensors", {"sensors": ((1, 2), (5, 7))}), ("snapshot_steps", {"snapshot_steps": ((0,),)}),
 ], ids=["fractional-sensor", "nan-sensor", "fractional-snapshot", "fractional-trigger-period", "fractional-stride",
         "fractional-shift-step", "fractional-n-fd", "fractional-steps", "fractional-substeps", "fractional-seed",
-        "fractional-start-sector", "nan-n-fd", "string-seed", "sequence-steps", "sequence-seed"])
+        "fractional-start-sector", "nan-n-fd", "string-seed", "sequence-steps", "sequence-seed", "nested-sensors",
+        "nested-snapshot"])
 def test_validate_rejects_a_fractional_index_naming_the_key(key, change):
     # A config built in code skips the loader's integer cast: validate once
     # truncated 1.5 to sensor node 1, raised a bare ValueError on NaN, and
@@ -82,7 +84,9 @@ def test_validate_rejects_a_fractional_index_naming_the_key(key, change):
     # fractional trigger period, stride or shift step ran on a period or a
     # step of its own; n_fd, steps, substeps and seed raised a bare TypeError
     # once run, and the start sector a bare IndexError. A sequence passed the
-    # integer test and raised a bare TypeError in validate itself.
+    # integer test and raised a bare TypeError in validate itself. Nested
+    # sensors passed validate and raised a bare ValueError once run, and
+    # nested snapshot steps a bare TypeError in validate.
     cfg = config_from_dict(MINIMAL)
     with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be (an )?integer"):
         replace(cfg, **change).validate()
@@ -98,6 +102,15 @@ def test_validate_stores_integral_floats_as_int_and_runs():
                    sensors=(0, 5, 17), snapshot_steps=(0, 3)).validate()
     got = run_scheme(cfg, run_truth(cfg))
     assert np.array_equal(got.percent_mae, run_scheme(want, run_truth(want)).percent_mae)
+
+
+@pytest.mark.parametrize("key", ["initial_truth", "initial_guess"])
+def test_validate_rejects_nested_heads_naming_the_key(key):
+    # in a config built in code, nested initial heads passed validate; once
+    # run, initial_truth raised a bare ValueError and initial_guess failed as
+    # "step 0: offsets must be integral..."
+    with pytest.raises(ValidationError, match=f"^{key} must be finite heads"):
+        replace(config_from_dict(MINIMAL), **{key: ((-5.0, -6.0),)}).validate()
 
 
 ZONE = MINIMAL["soil"]["zones"][0]

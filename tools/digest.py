@@ -5,6 +5,11 @@
 Run it at two commits and diff the outputs: a change that keeps every
 number prints the same lines. Cases:
 
+- the public soil closures (``suction_logs``, ``water_content``,
+  ``capillary_capacity``, ``hydraulic_conductivity``) at h = 2.5, 0, -3 and
+  -1e6 m, for one soil and for four per-node soils, with the text of every
+  warning they raise: a closure that stops entering its own errstate
+  changes its line;
 - ``FullModel.step`` of one state and of a batch of 4 with per-row inputs,
   ``FullModel.rhs`` of the same batch, and a 3-step ``WaterBudget``;
 - ``ReducedModel.step`` of the batch on a seeded random partition and on
@@ -28,6 +33,7 @@ import hashlib
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +49,8 @@ from pivotflow.reduction import Clustering, ReducedModel, reduce_state  # noqa: 
 from pivotflow.richards import FullModel, RootUptake, StepForcing, SurfaceInput, WaterBudget  # noqa: E402
 from pivotflow.runner import export_artifacts, run_scheme, run_truth  # noqa: E402
 from pivotflow.scenario import config_from_dict  # noqa: E402
-from pivotflow.soil import VanGenuchtenParams  # noqa: E402
+from pivotflow.soil import (VanGenuchtenParams, capillary_capacity, hydraulic_conductivity,  # noqa: E402
+                            suction_logs, water_content)
 
 ZONES = [
     VanGenuchtenParams(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6),
@@ -90,6 +97,17 @@ def unstable(step, *args) -> str:
     except UnstableStep as exc:
         return f"UnstableStep: {exc}"
     return "no error"
+
+
+def closure_cases():
+    h = np.array([2.5, 0.0, -3.0, -1e6])
+    for name, soil in (("one-soil", ZONES[0]), ("per-node", VanGenuchtenParams.from_zones(np.arange(4), ZONES))):
+        for closure in (suction_logs, water_content, capillary_capacity, hydraulic_conductivity):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = closure(h, soil)
+            raised = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught).encode()
+            yield f"closures/{name}/{closure.__name__}", np.ascontiguousarray(value, dtype=float).tobytes() + raised
 
 
 def model_cases():
@@ -144,5 +162,5 @@ def scheduled_cases():
 
 
 if __name__ == "__main__":
-    for case, data in [*model_cases(), *compare_cases(), *scheduled_cases()]:
+    for case, data in [*closure_cases(), *model_cases(), *compare_cases(), *scheduled_cases()]:
         print(case, sha(data))

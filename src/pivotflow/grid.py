@@ -15,15 +15,23 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _real(values) -> bool:
+    """Whether ``values`` is a real number or an array of them: of a numeric dtype, bool excluded, not ragged."""
+    try:
+        return np.asarray(values).dtype.kind in "iuf"
+    except ValueError:  # a ragged sequence
+        return False
+
+
 def _integral(values) -> bool:
-    """Whether ``values`` holds integers: an integer dtype, or floats that are all finite whole numbers."""
-    a = np.asarray(values)
-    return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.all(np.isfinite(a) & (a == np.floor(a)))))
+    """Whether ``values`` holds integers: ``_real``, of an integer dtype or floats that are all finite whole numbers."""
+    a = np.asarray(values) if _real(values) else None
+    return a is not None and (a.dtype.kind in "iu" or bool(np.all(np.isfinite(a) & (a == np.floor(a)))))
 
 
 def _integer(value) -> bool:
     """Whether ``value`` is one integer: a scalar that ``_integral`` accepts, not a sequence of them."""
-    return np.ndim(value) == 0 and _integral(value)
+    return _integral(value) and np.ndim(value) == 0
 
 
 @dataclass(frozen=True)
@@ -40,8 +48,8 @@ class CylindricalGrid:
             if not (_integer(count) and count >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1")
             object.__setattr__(self, name, int(count))
-        for name in ("radius", "depth"):
-            if not 0 < getattr(self, name) < np.inf:
+        for name, value in (("radius", self.radius), ("depth", self.depth)):
+            if not (_real(value) and 0 < value < np.inf):
                 raise ValidationError(f"{name} must be finite and > 0")
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +52,7 @@ class SnapshotMatrix:
 
 @dataclass(frozen=True)
 class Clustering:
-    """Partition of nodes: assignment[i] is the cluster id of node i."""
+    """Partition of nodes: assignment[i] is the cluster id of node i; ``sizes`` and ``weights`` are computed once."""
 
     assignment: np.ndarray
     n_clusters: int
@@ -67,14 +68,18 @@ class Clustering:
         if not (ids.size == self.n_clusters and ids[0] == 0 and ids[-1] == self.n_clusters - 1):
             raise ValidationError("cluster ids must form a contiguous range [0, n_clusters)")
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.n_clusters)
+        sizes = np.bincount(self.assignment, minlength=self.n_clusters)
+        sizes.flags.writeable = False
+        return sizes
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """(n_clusters,) weight 1/sqrt(cluster size) with which each cluster's coordinate lifts to its nodes."""
-        return 1.0 / np.sqrt(self.sizes.astype(float))
+        """(n_clusters,) weight 1/sqrt(size) with which each cluster's coordinate lifts to its nodes; read-only."""
+        weights = 1.0 / np.sqrt(self.sizes.astype(float))
+        weights.flags.writeable = False
+        return weights
 
     @classmethod
     def singletons(cls, n_nodes: int) -> "Clustering":
@@ -248,8 +253,6 @@ class _CoarseGraph(NamedTuple):
     """
 
     cluster: np.ndarray     # (G,) cluster of each group
-    weight: np.ndarray      # (G,) projection weight w_c of that cluster
-    col_weight: np.ndarray  # (r,) weight of each cluster
     soil: VanGenuchtenParams  # one entry per group
     src: np.ndarray         # (P,) ordered group pairs that share a face
     dst: np.ndarray
@@ -260,8 +263,8 @@ class _CoarseGraph(NamedTuple):
     roots: np.ndarray       # (G,) summed root weights (zeros without roots)
 
 
-def _coarse_graph(full: FullModel, cluster: np.ndarray, col_weight: np.ndarray) -> _CoarseGraph:
-    """The coarse graph of ``full``'s grid under the partition ``cluster`` with column weights ``col_weight``."""
+def _coarse_graph(full: FullModel, cluster: np.ndarray) -> _CoarseGraph:
+    """The coarse graph of ``full``'s grid under the partition ``cluster``."""
     grid = full.grid
     n_r, n_t, n_z, n = grid.n_r, grid.n_theta, grid.n_z, grid.n_nodes
     names = [f.name for f in fields(full.soil) if f.init]
@@ -304,8 +307,6 @@ def _coarse_graph(full: FullModel, cluster: np.ndarray, col_weight: np.ndarray) 
         roots = np.bincount(group, weights=root_weight(grid, full.roots.root_depth), minlength=n_groups)
     return _CoarseGraph(
         cluster=cluster[first],
-        weight=col_weight[cluster[first]],
-        col_weight=col_weight,
         soil=VanGenuchtenParams(**{a: values[first] for a, values in zip(names, node_soil)}),
         src=pairs // n_groups,
         dst=pairs % n_groups,
@@ -335,8 +336,7 @@ class ReducedModel:
         if cluster.size != n:
             raise DimensionMismatch(f"clustering covers {cluster.size} nodes, the full model has {n}")
         identity = np.array_equal(cluster, np.arange(n))
-        object.__setattr__(self, "_graph",
-                           None if identity else _coarse_graph(self.full, cluster, self.clustering.weights))
+        object.__setattr__(self, "_graph", None if identity else _coarse_graph(self.full, cluster))
 
     @property
     def order(self) -> int:
@@ -363,13 +363,10 @@ class ReducedModel:
         graph = self._graph
         if graph is None:
             return self.full.step(xi, surface, forcing, dt)
-        if not 0 < dt < np.inf:
-            raise ValidationError("dt must be finite and > 0")
         xi = _rows_of(xi, self.order, "reduced state", finite=True)
         full = self.full
         grid = full.grid
-        n_groups, order = graph.cluster.size, self.order
-        sub = dt / full.substeps
+        n_groups, order, weights = graph.cluster.size, self.order, self.clustering.weights
         out = xi.reshape(-1, order).copy()
         rows, state = out.shape[0], out.reshape(-1)
         # The batch runs flat, group g of row b at entry b G + g, with per-group
@@ -387,9 +384,9 @@ class ReducedModel:
         ends = np.stack([to_group, (offset + graph.dst).ravel()])  # both ends of every pair
         to_cluster = (np.arange(rows)[:, None] * order + graph.cluster).ravel()
         per_group, per_pair = np.arange(size) % n_groups, np.arange(to_group.size) % graph.src.size
-        weight, drain, soil = graph.weight[per_group], graph.drain[per_group], graph.soil._pick(per_group)
+        weight, drain, soil = weights[graph.cluster[per_group]], graph.drain[per_group], graph.soil._pick(per_group)
         diffusive, gravity = graph.diffusive[per_pair], graph.gravity[per_pair]
-        col_weight = graph.col_weight[np.arange(state.size) % order]
+        col_weight = weights[np.arange(state.size) % order]
         h, k, c, rate, sink, *logs = (np.empty(size) for _ in range(8))
         pair_k, pair_h = np.empty((2,) + ends.shape)
         (k_src, k_dst), (h_src, h_dst) = pair_k, pair_h
@@ -413,7 +410,7 @@ class ReducedModel:
             rate *= weight
             return np.bincount(to_cluster, weights=rate, minlength=state.size)
 
-        return _euler(state, rates, full.substeps, sub, "reduced state", weight=col_weight).reshape(xi.shape)
+        return _euler(state, rates, full.substeps, dt, "reduced state", weight=col_weight).reshape(xi.shape)
 
 
 # The helper forks only when its half of a call's full-model work (windows x horizon x nodes x sub-steps)

@@ -23,7 +23,7 @@ from .errors import (
     UnstableStep,
     ValidationError,
 )
-from .grid import CylindricalGrid, _integer, _integral
+from .grid import CylindricalGrid, _integer, _integral, _real
 from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
@@ -39,9 +39,9 @@ class SurfaceInput:
     active_sector: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.u.ndim != 1:
+        if not (_real(self.u) and np.ndim(self.u) == 1):
             raise ValidationError("u must be a 1-D array of per-ring rates")
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.size and not 0 <= self.u.min() <= self.u.max() < np.inf:
             raise ValidationError("u must be finite and nonnegative")
         if not _integer(self.active_sector):
@@ -62,8 +62,8 @@ class StepForcing:
     rain: float = 0.0
 
     def __post_init__(self):
-        for name in ("et", "k_c", "rain"):
-            if not 0 <= getattr(self, name) < np.inf:
+        for name, value in (("et", self.et), ("k_c", self.k_c), ("rain", self.rain)):
+            if not (_real(value) and 0 <= value < np.inf):
                 raise ValidationError(f"{name} must be finite and nonnegative")
 
 
@@ -77,9 +77,10 @@ class RootUptake:
     h_wilting: float = -150.0
 
     def __post_init__(self):
-        if not 0 < self.root_depth < np.inf:
+        if not (_real(self.root_depth) and 0 < self.root_depth < np.inf):
             raise ValidationError("root_depth must be finite and > 0")
-        if not (-np.inf < self.h_wilting < self.h_field_capacity < self.h_anaerobic <= 0):
+        heads = (self.h_wilting, self.h_field_capacity, self.h_anaerobic)
+        if not (all(map(_real, heads)) and -np.inf < self.h_wilting < self.h_field_capacity < self.h_anaerobic <= 0):
             raise ValidationError("require -inf < h_wilting < h_field_capacity < h_anaerobic <= 0")
 
 
@@ -90,24 +91,6 @@ class WaterBudget:
     inflow: float = 0.0
     drainage: float = 0.0
     extraction: float = 0.0
-
-
-def stress_factor(h, roots: RootUptake, out=None):
-    """Feddes-type uptake reduction beta(h) in [0, 1].
-
-    Linear from 0 at h_anaerobic up to 1 at h_field_capacity, then down to 0
-    at h_wilting. The wet ramp is at most 1 where h >= h_field_capacity and
-    the dry ramp where h <= h_field_capacity, so beta is the smaller ramp,
-    cut at 0 (fmax also maps a NaN head to 0).
-    """
-    h = np.asarray(h, dtype=float)
-    ha, hfc, hw = roots.h_anaerobic, roots.h_field_capacity, roots.h_wilting
-    beta = np.subtract(ha, h, out=np.empty(h.shape) if out is None else out)
-    beta /= ha - hfc
-    dry = np.subtract(h, hw)
-    dry /= hfc - hw
-    np.minimum(beta, dry, out=beta)
-    return np.fmax(beta, 0.0, out=beta)
 
 
 @lru_cache(maxsize=16)
@@ -186,16 +169,24 @@ def sink_term(x, roots: RootUptake, scale, out=None):
 
     S = beta(x) * scale with ``scale`` from ``sink_scale``, so total
     extraction integrates to beta-weighted K_c * ET over the field surface,
-    with uniform root density down to root_depth. ``x`` may also be a
-    (B, n_nodes) batch of states; ``out``, an array of x's shape, receives S.
-    A ``scale`` of None gives S = 0.
+    with uniform root density down to root_depth. The Feddes-type beta is
+    the smaller of a wet ramp (0 at h_anaerobic, 1 at h_field_capacity) and
+    a dry ramp (1 there, 0 at h_wilting), cut at 0; fmax maps NaN to 0.
+    ``x`` may also be a (B, n_nodes) batch of states; ``out``, an array of
+    x's shape, receives S. A ``scale`` of None gives S = 0.
     """
     x = np.asarray(x, dtype=float)
     s = np.empty(x.shape) if out is None else out
     if scale is None:
         s.fill(0.0)
         return s
-    stress_factor(x, roots, out=s)
+    ha, hfc, hw = roots.h_anaerobic, roots.h_field_capacity, roots.h_wilting
+    np.subtract(ha, x, out=s)
+    s /= ha - hfc
+    dry = np.subtract(x, hw)
+    dry /= hfc - hw
+    np.minimum(s, dry, out=s)
+    np.fmax(s, 0.0, out=s)
     s *= scale
     return s
 
@@ -283,11 +274,15 @@ def observe(x, sensor_nodes, v=None) -> np.ndarray:
     return y
 
 
-def _euler(state, rates, substeps: int, sub: float, what: str, weight=None, book=None):
-    """Explicit Euler in place: ``substeps`` times state += sub * rates(), then ``book()`` if given.
+def _euler(state, rates, substeps: int, dt: float, what: str, weight=None, book=None):
+    """Explicit Euler in place: ``substeps`` times state += sub * rates(), sub = dt / substeps, then ``book(sub)``.
 
-    The spent rate takes the heads, ``state`` or ``state * weight``; |h| > ``MAX_HEAD`` or NaN raises ``UnstableStep``.
+    dt outside (0, inf) raises ``ValidationError``, and a spent rate's heads (``state`` or ``state * weight``)
+    beyond |h| <= ``MAX_HEAD`` or NaN raise ``UnstableStep``.
     """
+    if not 0 < dt < np.inf:
+        raise ValidationError("dt must be finite and > 0")
+    sub = dt / substeps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(substeps):
             rate = rates()
@@ -297,7 +292,7 @@ def _euler(state, rates, substeps: int, sub: float, what: str, weight=None, book
             if not np.abs(heads, out=rate).max() <= MAX_HEAD:
                 raise UnstableStep(f"{what} diverged after a sub-step of {sub:g} s; increase substeps")
             if book is not None:
-                book()
+                book(sub)
     return state
 
 
@@ -321,7 +316,7 @@ class FullModel:
         if not (_integer(self.substeps) and self.substeps >= 1):
             raise ValidationError("substeps must be an integer >= 1")
         object.__setattr__(self, "substeps", int(self.substeps))
-        if not 0 < self.storativity < np.inf:
+        if not (_real(self.storativity) and 0 < self.storativity < np.inf):
             raise ValidationError("storativity must be finite and > 0")
         if self.roots is not None and self.roots.root_depth > self.grid.depth + 1e-12:
             raise ValidationError("roots.root_depth must not exceed grid depth")
@@ -470,8 +465,6 @@ class FullModel:
         call with its own inputs would give it. ``budget`` accumulates one
         state's boundary and sink volumes.
         """
-        if not 0 < dt < np.inf:
-            raise ValidationError("dt must be finite and > 0")
         x = _rows_of(x, self.grid.n_nodes, "state", finite=True)
         if budget is not None and x.ndim != 1:
             raise ValidationError("a water budget is kept for one state at a time")
@@ -480,15 +473,14 @@ class FullModel:
         q_in = _surface_flux(surface, forcing, grid, h.shape[0])
         inflow = q_in / grid.dz
         scale = sink_scale(grid, forcing, self.roots)
-        sub = dt / self.substeps
         rates, bottom, sink = self._rates(h, inflow, scale)
         book = None
         if budget is not None:
             area = grid.column_area()
             volume = grid.cell_volumes()
 
-            def book():
+            def book(sub):
                 budget.inflow += float(np.sum(q_in[0] * area)) * sub
                 budget.drainage += float(np.sum(bottom * area)) * sub
                 budget.extraction += float(np.sum(-sink.reshape(volume.shape) * volume)) * sub
-        return _euler(h, rates, self.substeps, sub, "state", book=book).reshape(x.shape)
+        return _euler(h, rates, self.substeps, dt, "state", book=book).reshape(x.shape)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ekf import SCHEMES, NoiseConfig
 from .errors import ParseError, ValidationError
-from .grid import CylindricalGrid, _integer, _integral
+from .grid import CylindricalGrid, _integer, _integral, _real
 from .richards import (
     MAX_HEAD,
     FullModel,
@@ -86,30 +86,31 @@ class ScenarioConfig:
             if not (_integer(value) and value >= least):
                 raise ValidationError(f"{key} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))
-        if not 0 < self.delta_s < np.inf:
+        if not (_real(self.delta_s) and 0 < self.delta_s < np.inf):
             raise ValidationError("delta_s must be finite and > 0")
-        for name in ("th_e", "th_c", "slope_limit"):
-            if not getattr(self, name) > 0:
+        for name, value in (("th_e", self.th_e), ("th_c", self.th_c), ("slope_limit", self.slope_limit)):
+            if not (_real(value) and value > 0):
                 raise ValidationError(f"{name} must be > 0")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
-        if self.estimate_ceiling is not None and not -np.inf < self.estimate_ceiling <= 0:
+        ceiling = self.estimate_ceiling
+        if ceiling is not None and not (_real(ceiling) and -np.inf < ceiling <= 0):
             raise ValidationError("estimate_ceiling must be finite and <= 0 (or null to disable)")
-        for kind in ("process", "measurement"):
-            if not 0 <= getattr(self, f"{kind}_noise_var") < np.inf:
+        for kind, value in (("process", self.process_noise_var), ("measurement", self.measurement_noise_var)):
+            if not (_real(value) and 0 <= value < np.inf):
                 raise ValidationError(f"noise.{kind}_var must be finite and >= 0")
         if len(self.soil_zones) not in (1, 4):
             raise ValidationError("soil.zones must hold 1 (uniform) or 4 (per-quadrant) entries")
         for vals, name in ((self.initial_truth, "initial_truth"), (self.initial_guess, "initial_guess")):
-            if len(vals) not in (1, 4):
-                raise ValidationError(f"{name} must have length 1 or 4 (per quadrant)")
-            if np.ndim(vals) != 1 or not np.all(np.abs(vals) <= MAX_HEAD):  # the steppers' bound; NaN fails it
+            if not (_real(vals) and np.ndim(vals) < 2 and np.all(np.abs(vals) <= MAX_HEAD)):  # NaN fails the bound
                 raise ValidationError(f"{name} must be finite heads with |h| <= {MAX_HEAD:g} m")
+            if np.ndim(vals) != 1 or len(vals) not in (1, 4):
+                raise ValidationError(f"{name} must have length 1 or 4 (per quadrant)")
+        if not (_integral(self.sensors) and np.ndim(self.sensors) == 1):
+            raise ValidationError("sensors must be integer node indices")
         sensors = np.asarray(self.sensors)
         if sensors.size == 0:
             raise ValidationError("sensors must be a nonempty node list")
-        if sensors.ndim != 1 or not _integral(sensors):
-            raise ValidationError("sensors must be integer node indices")
         if sensors.min() < 0 or sensors.max() >= self.grid.n_nodes:
             raise ValidationError(f"sensors must lie within [0, {self.grid.n_nodes})")
         if np.unique(sensors).size != sensors.size:
@@ -122,7 +123,7 @@ class ScenarioConfig:
             if self.shift_step > self.steps:
                 raise ValidationError("truth_shift.step must lie within the run")
         self.truth_models()  # the models check substeps, storativity, bottom_bc and roots.root_depth
-        if np.ndim(self.snapshot_steps) != 1 or not _integral(self.snapshot_steps):
+        if not (_integral(self.snapshot_steps) and np.ndim(self.snapshot_steps) == 1):
             raise ValidationError("snapshot_steps must be integer step indices")
         for s in self.snapshot_steps:
             if not 0 <= s < self.steps:
@@ -131,7 +132,7 @@ class ScenarioConfig:
             if cast is not _series:
                 continue
             series = getattr(self, name)
-            if np.ndim(series) != 1 or np.size(series) == 0 or not np.all(np.isfinite(series)):
+            if not (_real(series) and np.ndim(series) == 1 and np.size(series) and np.all(np.isfinite(series))):
                 raise ValidationError(f"{key} must be a finite scalar or a nonempty list of finite values")
             if not key.startswith("forecast.") and np.min(series) < 0:  # forecast errors may be negative
                 raise ValidationError(f"{key} must be nonnegative")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .grid import _real
 
 
 def _derived():
@@ -46,13 +47,14 @@ class VanGenuchtenParams:
     c_scale: float | np.ndarray = _derived()
 
     def __post_init__(self):
-        if not np.all((0 < self.alpha) & (self.alpha < np.inf)):
+        if not (_real(self.alpha) and np.all((0 < self.alpha) & (self.alpha < np.inf))):
             raise ValidationError("alpha must be finite and > 0")
-        if not np.all((1 < self.n_vg) & (self.n_vg < np.inf)):
+        if not (_real(self.n_vg) and np.all((1 < self.n_vg) & (self.n_vg < np.inf))):
             raise ValidationError("n_vg must be finite and > 1")
-        if not np.all((0 < self.k_s) & (self.k_s < np.inf)):
+        if not (_real(self.k_s) and np.all((0 < self.k_s) & (self.k_s < np.inf))):
             raise ValidationError("k_s must be finite and > 0")
-        if not np.all((0 <= self.theta_r) & (self.theta_r < self.theta_s) & (self.theta_s <= 1)):
+        thetas = _real(self.theta_r) and _real(self.theta_s)
+        if not (thetas and np.all((0 <= self.theta_r) & (self.theta_r < self.theta_s) & (self.theta_s <= 1))):
             raise ValidationError("require 0 <= theta_r < theta_s <= 1")
         m = 1.0 - 1.0 / self.n_vg
         for name, value in (

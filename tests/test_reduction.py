@@ -443,6 +443,15 @@ class TestProjection:
         assert np.array_equal(u.max(axis=0), c.weights)
         assert np.array_equal(lift_state(c, np.eye(3)), u.T)  # U I_r gives U's columns
 
+    @pytest.mark.parametrize("name", ["sizes", "weights"])
+    def test_sizes_and_weights_are_one_read_only_array(self, name):
+        # each read computed a new writeable array, and the coarse graph kept copies of the weights
+        c = Clustering(np.array([0, 1, 0, 2]), 3)
+        value = getattr(c, name)
+        assert getattr(c, name) is value and not value.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 1
+
     def test_singletons_give_identity(self):
         c = Clustering.singletons(5)
         assert np.array_equal(dense_projection(c), np.eye(5))

@@ -27,6 +27,7 @@ from pivotflow import (
     sink_term,
     water_content,
 )
+from pivotflow.ekf import NoiseConfig
 from pivotflow.scenario import config_from_dict, default_sensor_layers, sensor_lattice
 
 from conftest import hydrostatic_state, row_inputs
@@ -517,6 +518,28 @@ class TestInputValidation:
     def test_step_forcing(self, name, bad):
         with pytest.raises(ValidationError, match=f"{name} must be"):
             StepForcing(**{name: bad})
+
+    GOOD = {
+        CylindricalGrid: dict(n_r=3, n_theta=4, n_z=3, radius=2.0, depth=0.3),
+        VanGenuchtenParams: dict(alpha=3.6, n_vg=1.56, theta_r=0.078, theta_s=0.43, k_s=2.9e-6),
+        RootUptake: dict(root_depth=0.2, h_anaerobic=-0.05, h_field_capacity=-3.3, h_wilting=-150.0),
+        NoiseConfig: dict(q_diag=1.0, q_offdiag=0.0, r_diag=0.08, p0_diag=1.0, p0_offdiag=5e-5),
+        StepForcing: dict(et=0.0, k_c=0.0, rain=0.0),
+        SurfaceInput: dict(u=[1e-7], active_sector=0),
+        FullModel: dict(grid=CylindricalGrid(3, 4, 3, 2.0, 0.3),
+                        soil=VanGenuchtenParams(3.6, 1.56, 0.078, 0.43, 2.9e-6), substeps=2, storativity=1e-4),
+    }
+
+    @pytest.mark.parametrize("bad", ["x", None, True], ids=["string", "none", "bool"])
+    @pytest.mark.parametrize("kind, name", [pytest.param(kind, name, id=f"{kind.__name__}.{name}")
+                                            for kind, args in GOOD.items() for name, value in args.items()
+                                            if isinstance(value, (int, float, list))])
+    def test_a_non_number_is_refused_naming_the_parameter(self, kind, name, bad):
+        # a string or None once raised a bare TypeError from a range comparison (a list of them a bare
+        # ValueError from SurfaceInput), and True passed as 1
+        args = dict(self.GOOD[kind], **{name: [bad] if name == "u" else bad})
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            kind(**args)
 
     @pytest.mark.parametrize("bad", [2.5, np.nan, 0, 0.0, "2", [2]])
     def test_substeps_must_be_an_integer(self, small_grid, loam, bad):

@@ -73,10 +73,11 @@ def test_sensor_bounds_checked():
     ("irrigation.start_sector", {"irrigation_start_sector": 1.5}), ("n_fd", {"n_fd": np.nan}),
     ("seed", {"seed": "1"}), ("steps", {"steps": (12, 13)}), ("seed", {"seed": [1]}),
     ("sensors", {"sensors": ((1, 2), (5, 7))}), ("snapshot_steps", {"snapshot_steps": ((0,),)}),
+    ("sensors", {"sensors": ((1, 2), (5,))}), ("snapshot_steps", {"snapshot_steps": ((0,), (1, 2))}),
 ], ids=["fractional-sensor", "nan-sensor", "fractional-snapshot", "fractional-trigger-period", "fractional-stride",
         "fractional-shift-step", "fractional-n-fd", "fractional-steps", "fractional-substeps", "fractional-seed",
         "fractional-start-sector", "nan-n-fd", "string-seed", "sequence-steps", "sequence-seed", "nested-sensors",
-        "nested-snapshot"])
+        "nested-snapshot", "ragged-sensors", "ragged-snapshot"])
 def test_validate_rejects_a_fractional_index_naming_the_key(key, change):
     # A config built in code skips the loader's integer cast: validate once
     # truncated 1.5 to sensor node 1, raised a bare ValueError on NaN, and
@@ -86,10 +87,47 @@ def test_validate_rejects_a_fractional_index_naming_the_key(key, change):
     # once run, and the start sector a bare IndexError. A sequence passed the
     # integer test and raised a bare TypeError in validate itself. Nested
     # sensors passed validate and raised a bare ValueError once run, and
-    # nested snapshot steps a bare TypeError in validate.
+    # nested snapshot steps a bare TypeError in validate. Ragged ones raised
+    # numpy's bare ValueError in validate.
     cfg = config_from_dict(MINIMAL)
     with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be (an )?integer"):
         replace(cfg, **change).validate()
+
+
+# MINIMAL with every optional section, so that every leaf key's field holds a value
+FULL = config_from_dict(dict(MINIMAL, roots={"root_depth": 0.2},
+                             truth_shift={"step": 5, "zones": MINIMAL["soil"]["zones"]}))
+# leaf keys whose None means an absent section or a disabled feature
+NONE_MEANS_ABSENT = {"estimate_ceiling", "truth_shift.step"}
+
+
+def _numeric_leaves():
+    """(key, section field or None, field) of every leaf key whose field holds a number or a list of numbers."""
+    for key, (target, *_) in _KEYS.items():
+        section = key.rpartition(".")[0]
+        if any(k.startswith(key + ".") for k in _KEYS):
+            continue  # a section
+        owner = _KEYS[section][0] if section and _KEYS[section][1] is not None else None
+        value = getattr(getattr(FULL, owner) if owner else FULL, target)
+        if np.asarray(value).dtype.kind in "iuf":
+            yield key, owner, target
+
+
+@pytest.mark.parametrize("key, owner, name, bad", [
+    pytest.param(key, owner, name, bad, id=f"{key}-{bad}")
+    for key, owner, name in _numeric_leaves()
+    for bad in ("x", True, None) if bad is not None or key not in NONE_MEANS_ABSENT
+])
+def test_every_numeric_key_refuses_a_non_number_naming_the_key(key, owner, name, bad):
+    # A config built in code skips the loader's casts. A string or None in a
+    # number's place raised a bare TypeError from a range comparison (from
+    # FullModel for storativity), or from a section's constructor, and True
+    # passed as 1. Walks _KEYS, so a key added later is covered too.
+    with pytest.raises(ValidationError, match=rf"^{re.escape(key)} " if owner is None else rf"\b{name}\b"):
+        if owner is None:
+            replace(FULL, **{name: bad}).validate()
+        else:
+            replace(FULL, **{owner: replace(getattr(FULL, owner), **{name: bad})}).validate()
 
 
 def test_validate_stores_integral_floats_as_int_and_runs():
@@ -104,13 +142,20 @@ def test_validate_stores_integral_floats_as_int_and_runs():
     assert np.array_equal(got.percent_mae, run_scheme(want, run_truth(want)).percent_mae)
 
 
-@pytest.mark.parametrize("key", ["initial_truth", "initial_guess"])
-def test_validate_rejects_nested_heads_naming_the_key(key):
+@pytest.mark.parametrize("key, heads, message", [
+    ("initial_truth", ((-5.0, -6.0),), "must be finite heads"),
+    ("initial_guess", ((-5.0, -6.0),), "must be finite heads"),
+    ("initial_truth", ((-5.0,), (-6.0, -7.0)), "must be finite heads"),
+    ("initial_truth", -5.0, "must have length 1 or 4"),
+    ("initial_guess", -5.0, "must have length 1 or 4"),
+], ids=["initial_truth", "initial_guess", "ragged-initial_truth", "scalar-initial_truth", "scalar-initial_guess"])
+def test_validate_rejects_nested_heads_naming_the_key(key, heads, message):
     # in a config built in code, nested initial heads passed validate; once
     # run, initial_truth raised a bare ValueError and initial_guess failed as
-    # "step 0: offsets must be integral..."
-    with pytest.raises(ValidationError, match=f"^{key} must be finite heads"):
-        replace(config_from_dict(MINIMAL), **{key: ((-5.0, -6.0),)}).validate()
+    # "step 0: offsets must be integral...". Ragged heads raised numpy's bare
+    # ValueError in validate, and a scalar a bare TypeError from len.
+    with pytest.raises(ValidationError, match=f"^{key} {message}"):
+        replace(config_from_dict(MINIMAL), **{key: heads}).validate()
 
 
 ZONE = MINIMAL["soil"]["zones"][0]

@@ -26,7 +26,7 @@ from .errors import (
     SingularInnovation,
     ValidationError,
 )
-from .grid import CylindricalGrid, _real
+from .grid import CylindricalGrid, _number
 from .reduction import (
     Clustering,
     ReducedModel,
@@ -67,13 +67,10 @@ class NoiseConfig:
     p0_offdiag: float = 5e-5
 
     def __post_init__(self):
-        if not (_real(self.r_diag) and 0 < self.r_diag < np.inf):
+        if not (_number(self.r_diag) and 0 < self.r_diag < np.inf):
             raise ValidationError("r_diag must be finite and > 0")
-        for diag, off, name in (
-            (self.q_diag, self.q_offdiag, "q"),
-            (self.p0_diag, self.p0_offdiag, "p0"),
-        ):
-            if not (_real(diag) and _real(off) and 0 <= off <= diag < np.inf):
+        for diag, off, name in ((self.q_diag, self.q_offdiag, "q"), (self.p0_diag, self.p0_offdiag, "p0")):
+            if not (_number(diag) and _number(off) and 0 <= off <= diag < np.inf):
                 raise ValidationError(f"{name}_diag/{name}_offdiag must satisfy 0 <= offdiag <= diag < inf")
 
     def measurement_cov(self, n_y: int) -> np.ndarray:

@@ -23,6 +23,11 @@ def _real(values) -> bool:
         return False
 
 
+def _number(value) -> bool:
+    """Whether ``value`` is one real number: a scalar that ``_real`` accepts, not a sequence of them."""
+    return _real(value) and np.ndim(value) == 0
+
+
 def _integral(values) -> bool:
     """Whether ``values`` holds integers: ``_real``, of an integer dtype or floats that are all finite whole numbers."""
     a = np.asarray(values) if _real(values) else None
@@ -49,7 +54,7 @@ class CylindricalGrid:
                 raise ValidationError(f"{name} must be an integer >= 1")
             object.__setattr__(self, name, int(count))
         for name, value in (("radius", self.radius), ("depth", self.depth)):
-            if not (_real(value) and 0 < value < np.inf):
+            if not (_number(value) and 0 < value < np.inf):
                 raise ValidationError(f"{name} must be finite and > 0")
 
     @property

@@ -23,7 +23,7 @@ from .errors import (
     UnstableStep,
     ValidationError,
 )
-from .grid import CylindricalGrid, _integer, _integral, _real
+from .grid import CylindricalGrid, _integer, _integral, _number, _real
 from .soil import VanGenuchtenParams, capillary_capacity, hydraulic_conductivity, suction_logs
 
 BOTTOM_CONDITIONS = ("free_drainage", "no_flux")
@@ -63,7 +63,7 @@ class StepForcing:
 
     def __post_init__(self):
         for name, value in (("et", self.et), ("k_c", self.k_c), ("rain", self.rain)):
-            if not (_real(value) and 0 <= value < np.inf):
+            if not (_number(value) and 0 <= value < np.inf):
                 raise ValidationError(f"{name} must be finite and nonnegative")
 
 
@@ -77,10 +77,10 @@ class RootUptake:
     h_wilting: float = -150.0
 
     def __post_init__(self):
-        if not (_real(self.root_depth) and 0 < self.root_depth < np.inf):
+        if not (_number(self.root_depth) and 0 < self.root_depth < np.inf):
             raise ValidationError("root_depth must be finite and > 0")
         heads = (self.h_wilting, self.h_field_capacity, self.h_anaerobic)
-        if not (all(map(_real, heads)) and -np.inf < self.h_wilting < self.h_field_capacity < self.h_anaerobic <= 0):
+        if not (all(map(_number, heads)) and -np.inf < self.h_wilting < self.h_field_capacity < self.h_anaerobic <= 0):
             raise ValidationError("require -inf < h_wilting < h_field_capacity < h_anaerobic <= 0")
 
 
@@ -316,7 +316,7 @@ class FullModel:
         if not (_integer(self.substeps) and self.substeps >= 1):
             raise ValidationError("substeps must be an integer >= 1")
         object.__setattr__(self, "substeps", int(self.substeps))
-        if not (_real(self.storativity) and 0 < self.storativity < np.inf):
+        if not (_number(self.storativity) and 0 < self.storativity < np.inf):
             raise ValidationError("storativity must be finite and > 0")
         if self.roots is not None and self.roots.root_depth > self.grid.depth + 1e-12:
             raise ValidationError("roots.root_depth must not exceed grid depth")

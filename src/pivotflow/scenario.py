@@ -16,14 +16,8 @@ import numpy as np
 
 from .ekf import SCHEMES, NoiseConfig
 from .errors import ParseError, ValidationError
-from .grid import CylindricalGrid, _integer, _integral, _real
-from .richards import (
-    MAX_HEAD,
-    FullModel,
-    RootUptake,
-    StepForcing,
-    SurfaceInput,
-)
+from .grid import CylindricalGrid, _integer, _integral, _number, _real
+from .richards import MAX_HEAD, FullModel, RootUptake, StepForcing, SurfaceInput
 from .soil import VanGenuchtenParams
 
 
@@ -86,18 +80,18 @@ class ScenarioConfig:
             if not (_integer(value) and value >= least):
                 raise ValidationError(f"{key} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))
-        if not (_real(self.delta_s) and 0 < self.delta_s < np.inf):
+        if not (_number(self.delta_s) and 0 < self.delta_s < np.inf):
             raise ValidationError("delta_s must be finite and > 0")
         for name, value in (("th_e", self.th_e), ("th_c", self.th_c), ("slope_limit", self.slope_limit)):
-            if not (_real(value) and value > 0):
+            if not (_number(value) and value > 0):
                 raise ValidationError(f"{name} must be > 0")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
         ceiling = self.estimate_ceiling
-        if ceiling is not None and not (_real(ceiling) and -np.inf < ceiling <= 0):
+        if ceiling is not None and not (_number(ceiling) and -np.inf < ceiling <= 0):
             raise ValidationError("estimate_ceiling must be finite and <= 0 (or null to disable)")
         for kind, value in (("process", self.process_noise_var), ("measurement", self.measurement_noise_var)):
-            if not (_real(value) and 0 <= value < np.inf):
+            if not (_number(value) and 0 <= value < np.inf):
                 raise ValidationError(f"noise.{kind}_var must be finite and >= 0")
         if len(self.soil_zones) not in (1, 4):
             raise ValidationError("soil.zones must hold 1 (uniform) or 4 (per-quadrant) entries")

@@ -530,13 +530,16 @@ class TestInputValidation:
                         soil=VanGenuchtenParams(3.6, 1.56, 0.078, 0.43, 2.9e-6), substeps=2, storativity=1e-4),
     }
 
-    @pytest.mark.parametrize("bad", ["x", None, True], ids=["string", "none", "bool"])
-    @pytest.mark.parametrize("kind, name", [pytest.param(kind, name, id=f"{kind.__name__}.{name}")
-                                            for kind, args in GOOD.items() for name, value in args.items()
-                                            if isinstance(value, (int, float, list))])
+    @pytest.mark.parametrize("kind, name, bad", [
+        pytest.param(kind, name, bad, id=f"{kind.__name__}.{name}-{tag}")
+        for kind, args in GOOD.items() for name, value in args.items() if isinstance(value, (int, float, list))
+        for tag, bad in (("string", "x"), ("none", None), ("bool", True), ("list", [value]))
+        if tag != "list" or not (kind is VanGenuchtenParams or name == "u")  # these take arrays
+    ])
     def test_a_non_number_is_refused_naming_the_parameter(self, kind, name, bad):
         # a string or None once raised a bare TypeError from a range comparison (a list of them a bare
-        # ValueError from SurfaceInput), and True passed as 1
+        # ValueError from SurfaceInput), and True passed as 1; a one-element list in a scalar's place
+        # raised a bare TypeError, or built a grid whose radius was an array
         args = dict(self.GOOD[kind], **{name: [bad] if name == "u" else bad})
         with pytest.raises(ValidationError, match=rf"\b{name}\b"):
             kind(**args)

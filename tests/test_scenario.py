@@ -102,7 +102,7 @@ NONE_MEANS_ABSENT = {"estimate_ceiling", "truth_shift.step"}
 
 
 def _numeric_leaves():
-    """(key, section field or None, field) of every leaf key whose field holds a number or a list of numbers."""
+    """(key, section field or None, field, value) of every leaf key whose field holds a number or a list of them."""
     for key, (target, *_) in _KEYS.items():
         section = key.rpartition(".")[0]
         if any(k.startswith(key + ".") for k in _KEYS):
@@ -110,19 +110,22 @@ def _numeric_leaves():
         owner = _KEYS[section][0] if section and _KEYS[section][1] is not None else None
         value = getattr(getattr(FULL, owner) if owner else FULL, target)
         if np.asarray(value).dtype.kind in "iuf":
-            yield key, owner, target
+            yield key, owner, target, value
 
 
 @pytest.mark.parametrize("key, owner, name, bad", [
     pytest.param(key, owner, name, bad, id=f"{key}-{bad}")
-    for key, owner, name in _numeric_leaves()
-    for bad in ("x", True, None) if bad is not None or key not in NONE_MEANS_ABSENT
+    for key, owner, name, value in _numeric_leaves()
+    for bad in ("x", True, None, [value]) if (bad is not None or key not in NONE_MEANS_ABSENT)
+    and (not isinstance(bad, list) or np.ndim(value) == 0)
 ])
 def test_every_numeric_key_refuses_a_non_number_naming_the_key(key, owner, name, bad):
     # A config built in code skips the loader's casts. A string or None in a
     # number's place raised a bare TypeError from a range comparison (from
     # FullModel for storativity), or from a section's constructor, and True
-    # passed as 1. Walks _KEYS, so a key added later is covered too.
+    # passed as 1. A one-element list in a scalar's place raised a bare
+    # TypeError too, or built a grid whose radius was an array. Walks _KEYS,
+    # so a key added later is covered too.
     with pytest.raises(ValidationError, match=rf"^{re.escape(key)} " if owner is None else rf"\b{name}\b"):
         if owner is None:
             replace(FULL, **{name: bad}).validate()

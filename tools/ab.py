@@ -1,6 +1,6 @@
 """In-process A/B timing of two checkouts of pivotflow, case by case.
 
-    python tools/ab.py PARENT_TREE CHANGE_TREE --out BENCH_<label>.json [--rounds 15] [--calls 15] [--only TEXT]
+    python tools/ab.py PARENT_TREE CHANGE_TREE --out BENCH_<label>.json [--rounds 15] [--only TEXT]
 
 Copies each tree's ``src/pivotflow`` into a temporary directory as the
 packages ``ab_parent`` and ``ab_change`` and imports both into this one
@@ -10,8 +10,8 @@ host's noise. For each case it
 1. runs the case once on each side and checks that the two results are equal
    bytes (else it exits with an error, before any timing);
 2. times it for ``--rounds`` rounds, alternating which side runs first; in a
-   round each side runs the case ``--calls`` times (the episode once) and
-   keeps the median.
+   round each side runs a step case ``CALLS`` times and the episode
+   ``EPISODE_CALLS`` times, and keeps the median.
 
 The output holds, per case, each side's per-round medians, the per-round
 change/parent ratios and their median, and the rounds each side won (a tie
@@ -28,6 +28,10 @@ quadrant soils, roots, 24 sub-steps), for the desk grid (720 nodes) and a
   clustered at th_c;
 - one ``run_scheme`` episode of ``configs/desk_shift.yaml`` trimmed to 96
   steps with the truth shift at step 32, seed 1 (its truth run is untimed).
+  It runs with ``reduction._cpus`` patched to 1 on both sides, so e_L runs
+  in the timing process and no forked helper shares the cores with it. On a
+  shared 2-core VM its per-round ratios still spread over about ±15 %, so
+  only the median over rounds says anything, and only about a larger change.
 
 Run it from the root of a checkout with ``OMP_NUM_THREADS=1`` on a quiet host;
 it takes a few minutes at the defaults.
@@ -56,6 +60,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # changes to configs/desk_shift.yaml per grid of the step cases
 GRIDS = {"desk": {}, "2304": {"grid": {"n_r": 12, "n_theta": 24, "n_z": 8, "radius": 6.0, "depth": 0.4}, "n_fd": 8}}
+CALLS = 15  # calls per side and round of a step case
+EPISODE_CALLS = 3  # calls per side and round of the episode
 
 
 def load_side(tree: Path, name: str, into: Path):
@@ -104,7 +110,8 @@ def step_cases(pf, label: str):
 
 
 def episode(pf):
-    """A zero-argument call of the desk-shift episode; its truth run is made here, untimed."""
+    """A zero-argument call of the desk-shift episode on one core; its truth run is made here, untimed."""
+    pf.reduction._cpus = lambda: 1  # e_L runs in this process, without a forked helper
     data = dict(desk_shift(), steps=96, seed=1, snapshot_steps=[0, 95])
     data["truth_shift"]["step"] = 32
     cfg = pf.scenario.config_from_dict(data)
@@ -152,7 +159,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="root of the changed checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--calls", type=int, default=15, help="calls per side and round of a step case")
     parser.add_argument("--only", default="", help="time only the cases whose name contains this text")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -167,13 +173,13 @@ def main(argv=None) -> int:
         cases["run_scheme/desk_shift-96"] = {side: episode(packages[side]) for side in SIDES}
         results = {}
         for name, fns in ((name, fns) for name, fns in cases.items() if args.only in name):
-            calls = 1 if name.startswith("run_scheme") else args.calls
+            calls = EPISODE_CALLS if name.startswith("run_scheme") else CALLS
             results[name] = compare(name, fns, args.rounds, calls)
             print(f"{name}: {results[name]['ratio_median']:.3f} change/parent, "
                   f"change won {results[name]['change_won']}/{args.rounds}", flush=True)
     report = {
         "tool": "python tools/ab.py PARENT_TREE CHANGE_TREE --out FILE"
-                f" --rounds {args.rounds} --calls {args.calls}" + (f" --only {args.only}" if args.only else ""),
+                f" --rounds {args.rounds}" + (f" --only {args.only}" if args.only else ""),
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
                  "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")},
         "rounds": args.rounds,
